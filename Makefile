@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt build vet lint test race bench cover fuzz allocs scale
+.PHONY: ci fmt build vet lint test race bench cover fuzz allocs scale loc
 
 # ci is the gate run before merging: formatting, build, vet, the
 # determinism lint, the race detector over every internal package, the
@@ -93,3 +93,8 @@ allocs:
 scale:
 	SCALE=big $(GO) test -run 'TestScaleBig' -count=1 -timeout 300s -v .
 	$(GO) test -race -short -run 'TestScaleMatrix' -count=1 .
+
+# loc prints non-test and test Go line counts for the root module and for
+# perfbench, so every change can report its net size.
+loc:
+	@./scripts/loc.sh

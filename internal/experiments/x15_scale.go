@@ -118,19 +118,20 @@ func scaleSimnet(nw *simnet.Network, n int) (float64, int64) {
 			return req, 8
 		})
 	}
-	ok := 0
+	// One slot per call: callbacks run on the caller's shard worker, so a
+	// shared counter would race on the sharded engine.
+	ok := make([]bool, n*callsPerNode)
 	for i, r := range rpcs {
 		to := rpcs[(i+1)%n].Node().ID()
 		for c := 0; c < callsPerNode; c++ {
+			slot := i*callsPerNode + c
 			r.Call(to, "x15.echo", c, 16, 5*time.Second, func(_ any, err error) {
-				if err == nil {
-					ok++
-				}
+				ok[slot] = err == nil
 			})
 		}
 	}
 	nw.RunAll()
-	return float64(ok) / float64(n*callsPerNode), delivered(nw)
+	return float64(countTrue(ok)) / float64(n*callsPerNode), delivered(nw)
 }
 
 // scaleDHT grows a Kademlia population to N, stores a key set, and probes
@@ -162,23 +163,21 @@ func scaleDHT(nw *simnet.Network, n int) (float64, int64) {
 	}
 	nw.RunAll()
 
-	ok, total := 0, 0
 	stride := n / nReaders
 	if stride == 0 {
 		stride = 1
 	}
-	for r := 1; r < n && total < nReaders*nKeys; r += stride {
+	// One slot per lookup, as in scaleSimnet.
+	found := make([]bool, 0, nReaders*nKeys)
+	for r := 1; r < n && len(found) < nReaders*nKeys; r += stride {
 		for _, k := range keys {
-			total++
-			peers[r].Get(k, func(_ []byte, found bool) {
-				if found {
-					ok++
-				}
-			})
+			slot := len(found)
+			found = append(found, false)
+			peers[r].Get(k, func(_ []byte, f bool) { found[slot] = f })
 		}
 	}
 	nw.RunAll()
-	return float64(ok) / float64(total), delivered(nw)
+	return float64(countTrue(found)) / float64(len(found)), delivered(nw)
 }
 
 // scaleGossip floods items over a chord-style overlay (ring + power-of-two
@@ -239,6 +238,17 @@ func chordOffsets(n int) []int {
 
 // delivered reads the substrate's delivered-message total for the run.
 func delivered(nw *simnet.Network) int64 { return nw.Trace().Delivered }
+
+// countTrue counts the set slots of a per-call outcome slice.
+func countTrue(slots []bool) int {
+	n := 0
+	for _, ok := range slots {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
 
 // scaleMatrix is the numeric core of X15: rows are subsystems, columns
 // alternate "N=<tier> conv%" and "N=<tier> msg/node" so one Matrix carries

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dht"
 	"repro/internal/gossip"
 	"repro/internal/groupcomm"
-	"repro/internal/metrics"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
@@ -82,46 +81,17 @@ type resilCell struct {
 	rec        time.Duration
 }
 
-// availMeter launches probe operations at a fixed cadence across the
-// fault window and scores each against the subsystem SLA: a probe is
-// available iff its operation completes successfully within sla of
-// launch. Latencies of every completed probe feed the p95.
-type availMeter struct {
-	nw        *simnet.Network
-	sla       time.Duration
-	total, ok int
-	lat       metrics.Sample
-}
-
-// meterAvailability schedules probes every interval through
-// [wStart, wEnd) (offsets relative to start). Probes still unanswered
-// when the run ends count as unavailable.
-func meterAvailability(nw *simnet.Network, start, wStart, wEnd, interval, sla time.Duration, probe func(done func(bool))) *availMeter {
-	am := &availMeter{nw: nw, sla: sla}
-	for t := wStart; t < wEnd; t += interval {
-		am.total++
-		nw.Schedule(start+t, func() {
-			launched := nw.Now()
-			probe(func(okResp bool) {
-				l := nw.Now() - launched
-				am.lat.Observe(l.Seconds())
-				if okResp && l <= sla {
-					am.ok++
-				}
-			})
-		})
+// meterAvailability launches probes at an even cadence through
+// [wStart, wEnd) (offsets relative to start) and scores each against the
+// subsystem SLA. Probes still unanswered when the run ends count as
+// unavailable.
+func meterAvailability(nw *simnet.Network, start, wStart, wEnd time.Duration, probes int, sla time.Duration, requester interface{ Now() time.Duration }, probe func(done func(bool))) *slaMeter {
+	am := newSLAMeter(sla, start, probes+1)
+	for t, interval := wStart, (wEnd-wStart)/time.Duration(probes); t < wEnd; t += interval {
+		am.launch(nw, t, requester, probe)
 	}
 	return am
 }
-
-func (am *availMeter) availability() float64 {
-	if am.total == 0 {
-		return 0
-	}
-	return float64(am.ok) / float64(am.total)
-}
-
-func (am *availMeter) p95() float64 { return am.lat.Quantile(0.95) }
 
 // probeWindow returns the span probes are launched over: the plan's
 // active window, or the whole horizon for an empty (clean) plan.
@@ -193,7 +163,7 @@ func resilDHT(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) resil
 	ws, we := probeWindow(plan, sp.horizon)
 	sent := sentMeter(nw, start+ws)
 	probeN := 0
-	am := meterAvailability(nw, start, ws, we, (we-ws)/time.Duration(sp.probes), sla, func(done func(bool)) {
+	am := meterAvailability(nw, start, ws, we, sp.probes, sla, peers[1].Node(), func(done func(bool)) {
 		probeN++
 		k := cryptoutil.SumHash([]byte(fmt.Sprintf("x16-probe-%d", probeN)))
 		peers[1].Put(k, []byte{byte(probeN)}, func(stored int) { done(stored > 0) })
@@ -205,7 +175,7 @@ func resilDHT(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) resil
 	})
 	nw.Run(start + sp.horizon)
 	return resilCell{
-		avail:      am.availability(),
+		avail:      am.avail(),
 		p95:        am.p95(),
 		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(sp.nodes),
 		rec:        tr.recovery(plan.End(), sp.horizon),
@@ -254,11 +224,11 @@ func resilStorage(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) r
 			done(err == nil && len(b) == len(data))
 		})
 	}
-	am := meterAvailability(nw, start, ws, we, (we-ws)/time.Duration(sp.probes), sla, download)
+	am := meterAvailability(nw, start, ws, we, sp.probes, sla, client.Node(), download)
 	tr := trackRecovery(nw, start, plan.End(), sp.horizon, probeInterval(recoverySpec{horizon: sp.horizon}), download)
 	nw.Run(start + sp.horizon)
 	return resilCell{
-		avail:      am.availability(),
+		avail:      am.avail(),
 		p95:        am.p95(),
 		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(sp.nodes+1),
 		rec:        tr.recovery(plan.End(), sp.horizon),
@@ -289,7 +259,8 @@ func resilGroupcomm(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool)
 		}
 		s.SetPeers(peers)
 	}
-	client := groupcomm.NewReplClientWith(nw.AddNode(), ids[0], ids[1:], "alice", 10*time.Second, rcfg)
+	clientNode := nw.AddNode()
+	client := groupcomm.NewReplClientWith(clientNode, ids[0], ids[1:], "alice", 10*time.Second, rcfg)
 	for i := 0; i < 4; i++ {
 		i := i
 		nw.After(time.Duration(i+1)*10*time.Second, func() {
@@ -308,11 +279,11 @@ func resilGroupcomm(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool)
 			done(ok && len(posts) > 0)
 		})
 	}
-	am := meterAvailability(nw, start, ws, we, (we-ws)/time.Duration(sp.probes), sla, fetch)
+	am := meterAvailability(nw, start, ws, we, sp.probes, sla, clientNode, fetch)
 	tr := trackRecovery(nw, start, plan.End(), sp.horizon, probeInterval(recoverySpec{horizon: sp.horizon}), fetch)
 	nw.Run(start + sp.horizon)
 	return resilCell{
-		avail:      am.availability(),
+		avail:      am.avail(),
 		p95:        am.p95(),
 		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(sp.nodes+1),
 		rec:        tr.recovery(plan.End(), sp.horizon),
@@ -391,11 +362,14 @@ func resilWebapp(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) re
 			done(err == nil && len(fs) == len(files))
 		})
 	}
-	am := meterAvailability(nw, start, ws, we, (we-ws)/time.Duration(sp.probes), sla, visit)
+	// Each probe picks its cold visitor when it fires, so no single node is
+	// the requester; X16 runs on the single-heap engine, where every node
+	// reads the network's clock.
+	am := meterAvailability(nw, start, ws, we, sp.probes, sla, nw, visit)
 	tr := trackRecovery(nw, start, plan.End(), sp.horizon, probeInterval(recoverySpec{horizon: sp.horizon}), visit)
 	nw.Run(start + sp.horizon)
 	return resilCell{
-		avail:      am.availability(),
+		avail:      am.avail(),
 		p95:        am.p95(),
 		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(sp.nodes+2),
 		rec:        tr.recovery(plan.End(), sp.horizon),

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
-	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
 	"repro/internal/webapp"
@@ -130,58 +129,9 @@ type x18Cell struct {
 	msgPerNode  float64
 }
 
-// x18Outcome is one request's fate — the conformance suite asserts
-// availability over time windows from these.
-type x18Outcome struct {
-	at time.Duration // schedule time, relative to measurement start
-	ok bool          // completed successfully within sla
-}
-
-// x18Meter scores requests against the SLA as their callbacks land.
-type x18Meter struct {
-	nw       *simnet.Network
-	sla      time.Duration
-	ok       int
-	lat      metrics.Sample
-	outcomes []x18Outcome
-}
-
-func newX18Meter(nw *simnet.Network, sp x18Spec, n int) *x18Meter {
-	return &x18Meter{nw: nw, sla: sp.sla, outcomes: make([]x18Outcome, 0, n)}
-}
-
-// launch wraps one request: call start() exactly when the request fires;
-// the returned func scores the response. Requests whose callback never
-// arrives stay unanswered and count against availability.
-func (m *x18Meter) done(at, launched time.Duration) func(okResp bool) {
-	return m.doneOn(at, launched, m.nw.Now)
-}
-
-// doneOn is done with an explicit completion clock. The network's global
-// clock is event-exact on the single-heap engine, but on the sharded
-// engine it only advances at window barriers while the response callback
-// runs on the requesting node's shard clock — so cross-engine arms (X19)
-// pass the requesting node's Now to keep measured latency identical on
-// both engines.
-func (m *x18Meter) doneOn(at, launched time.Duration, clock func() time.Duration) func(okResp bool) {
-	return func(okResp bool) {
-		l := clock() - launched
-		m.lat.Observe(l.Seconds())
-		hit := okResp && l <= m.sla
-		if hit {
-			m.ok++
-		}
-		m.outcomes = append(m.outcomes, x18Outcome{at: at, ok: hit})
-	}
-}
-
-func (m *x18Meter) cell(total int, originShare, msgPerNode float64) x18Cell {
-	return x18Cell{
-		avail:       float64(m.ok) / float64(total),
-		p95:         m.lat.Quantile(0.95),
-		originShare: originShare,
-		msgPerNode:  msgPerNode,
-	}
+// x18Score fills an arm's cell from its finished meter.
+func x18Score(m *slaMeter, originShare, msgPerNode float64) x18Cell {
+	return x18Cell{avail: m.avail(), p95: m.p95(), originShare: originShare, msgPerNode: msgPerNode}
 }
 
 // x18Feudal: the single-home-server OStatus arm. One origin on a home
@@ -200,19 +150,18 @@ func x18Feudal(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Reg
 	}
 	rs.Apply(nw, ids)
 	base := nw.Now()
-	meter := newX18Meter(nw, sp, len(reqs))
+	meter := newSLAMeter(sp.sla, base, len(reqs))
 	sent := sentMeter(nw, base)
 	for _, r := range reqs {
 		r := r
-		nw.Schedule(base+r.At, func() {
-			done := meter.done(r.At, nw.Now())
-			clients[r.Client].Call(origin.Node().ID(), "content.get", r.Object, 200, sp.timeout,
+		c := clients[r.Client]
+		meter.launch(nw, r.At, c.Node(), func(done func(bool)) {
+			c.Call(origin.Node().ID(), "content.get", r.Object, 200, sp.timeout,
 				func(resp any, err error) { done(err == nil) })
 		})
 	}
 	nw.Run(base + sp.horizon + x18Grace)
-	return meter.cell(len(reqs), 1.0,
-		float64(nw.Trace().Sent-*sent)/float64(nw.NumNodes()))
+	return x18Score(meter, 1.0, float64(nw.Trace().Sent-*sent)/float64(nw.NumNodes()))
 }
 
 // x18Federated: K full replicas on home links; clients home round-robin
@@ -237,21 +186,21 @@ func x18Federated(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.
 	}
 	rs.Apply(nw, ids)
 	base := nw.Now()
-	meter := newX18Meter(nw, sp, len(reqs))
+	meter := newSLAMeter(sp.sla, base, len(reqs))
 	sent := sentMeter(nw, base)
 	for _, r := range reqs {
 		r := r
-		nw.Schedule(base+r.At, func() {
-			done := meter.done(r.At, nw.Now())
+		c := clients[r.Client]
+		meter.launch(nw, r.At, c.Node(), func(done func(bool)) {
 			home := r.Client % sp.servers
-			clients[r.Client].Call(servers[home].Node().ID(), "content.get", r.Object, 200, sp.timeout,
+			c.Call(servers[home].Node().ID(), "content.get", r.Object, 200, sp.timeout,
 				func(resp any, err error) {
 					if err == nil {
 						done(true)
 						return
 					}
 					next := (home + 1) % sp.servers
-					clients[r.Client].Call(servers[next].Node().ID(), "content.get", r.Object, 200, sp.timeout,
+					c.Call(servers[next].Node().ID(), "content.get", r.Object, 200, sp.timeout,
 						func(resp any, err error) { done(err == nil) })
 				})
 		})
@@ -268,8 +217,7 @@ func x18Federated(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.
 	if total > 0 {
 		share = busiest / total
 	}
-	return meter.cell(len(reqs), share,
-		float64(nw.Trace().Sent-*sent)/float64(nw.NumNodes()))
+	return x18Score(meter, share, float64(nw.Trace().Sent-*sent)/float64(nw.NumNodes()))
 }
 
 // x18P2P: the hostless-webapp arm. One author (home link) publishes each
@@ -279,7 +227,7 @@ func x18Federated(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.
 // client keeps seeding what it last fetched, which is exactly how the
 // flash crowd brings its own capacity. An optional fault scenario (the
 // conformance battery) crashes/degrades client nodes mid-run.
-func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario) (x18Cell, []x18Outcome) {
+func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario) (x18Cell, []slaOutcome) {
 	nw := simnet.New(seed)
 	tracker := webapp.NewTracker(nw.AddNode())
 	authorNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
@@ -326,7 +274,7 @@ func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Region
 	if sc != nil {
 		sc.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
 	}
-	meter := newX18Meter(nw, sp, len(reqs))
+	meter := newSLAMeter(sp.sla, base, len(reqs))
 	sent := sentMeter(nw, base)
 	flashReqs := 0
 	for _, r := range reqs {
@@ -334,9 +282,8 @@ func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Region
 		if sp.flash.Active() && r.Object == sp.flash.Object && r.At >= sp.flash.Start {
 			flashReqs++
 		}
-		nw.Schedule(base+r.At, func() {
-			done := meter.done(r.At, nw.Now())
-			p := clients[r.Client]
+		p := clients[r.Client]
+		meter.launch(nw, r.At, p.Node(), func(done func(bool)) {
 			p.Forget(sites[r.Object])
 			p.Visit(sites[r.Object], func(fs map[string][]byte, err error) {
 				done(err == nil && len(fs) == 1)
@@ -358,11 +305,10 @@ func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Region
 	// after every pre-existing experiment's metrics are already fixed.
 	reg := nw.Obs()
 	reg.Counter("workload.req.launched").Set(int64(len(reqs)))
-	reg.Counter("workload.req.sla_ok").Set(int64(meter.ok))
+	reg.Counter("workload.req.sla_ok").Set(int64(meter.hits()))
 	reg.Counter("workload.req.flash").Set(int64(flashReqs))
 	reg.Gauge("workload.flash.peak_x").Set(sp.flash.Peak)
-	return meter.cell(len(reqs), share,
-		float64(nw.Trace().Sent-*sent)/float64(nw.NumNodes())), meter.outcomes
+	return x18Score(meter, share, float64(nw.Trace().Sent-*sent)/float64(nw.NumNodes())), meter.outcomes()
 }
 
 // workloadMatrix is the numeric core of X18: one shared schedule, three

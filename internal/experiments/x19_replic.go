@@ -92,7 +92,7 @@ var x19DebugHook func(nw *simnet.Network, dir *replic.Directory, provs []*replic
 // replica-count timeline.
 type x19Result struct {
 	cell     x19Cell
-	outcomes []x18Outcome
+	outcomes []slaOutcome
 	timeline []int
 	// provHeld[i] is provider i's final held-object count (the conformance
 	// suite asserts pinned origins survive every scenario).
@@ -131,10 +131,8 @@ func x19Arm(seed int64, sp x19Spec, cfg replic.Config, reqs []workload.Request, 
 		ids = append(ids, clientNodes[i].ID())
 	}
 	provNodes := make([]*simnet.Node, sp.providers)
-	provIDs := make([]simnet.NodeID, sp.providers)
 	for i := range provNodes {
 		provNodes[i] = nw.AddNode()
-		provIDs[i] = provNodes[i].ID()
 		ids = append(ids, provNodes[i].ID())
 	}
 	rs.Apply(nw, ids)
@@ -148,34 +146,7 @@ func x19Arm(seed int64, sp x19Spec, cfg replic.Config, reqs []workload.Request, 
 		}
 	}
 
-	provs := make([]*replic.Provider, sp.providers)
-	for i, n := range provNodes {
-		provs[i] = replic.NewProvider(n, cfg, dirNode.ID(), sp.regions, regionOf)
-		provs[i].SetPeers(provIDs)
-	}
-	clients := make([]*replic.Client, sp.clients)
-	for i, n := range clientNodes {
-		clients[i] = replic.NewClient(n, cfg, dirNode.ID(), regionOf[n.ID()], regionOf, rs.Extra)
-	}
-
-	// Seed the catalog: object o's origin is provider o%P (pinned), plus
-	// k-1 static replicas on the following providers.
-	objs := make([]cryptoutil.Hash, sp.objects)
-	for o := range objs {
-		payload := make([]byte, sp.objBytes)
-		for i := range payload {
-			payload[i] = byte(o*31 + i)
-		}
-		objs[o] = cryptoutil.SumHash(payload)
-		origin := o % sp.providers
-		provs[origin].Put(objs[o], payload, true)
-		for j := 1; j < sp.k; j++ {
-			provs[(origin+j)%sp.providers].Put(objs[o], payload, false)
-		}
-	}
-	for _, p := range provs {
-		p.Start()
-	}
+	provs, clients, objs := x19Stock(sp, cfg, dirNode.ID(), provNodes, clientNodes, regionOf, rs)
 	nw.Run(nw.Now() + time.Minute) // announces settle
 
 	base := nw.Now()
@@ -184,7 +155,7 @@ func x19Arm(seed int64, sp x19Spec, cfg replic.Config, reqs []workload.Request, 
 		// is an anchor (the tracker convention X18 set).
 		sc.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
 	}
-	meter := newX18Meter(nw, sp.x18Spec, len(reqs))
+	meter := newSLAMeter(sp.sla, base, len(reqs))
 	timeline := make([]int, 0, x19Timeline+1)
 	for i := 0; i <= x19Timeline; i++ {
 		at := base + sp.horizon*time.Duration(i)/time.Duration(x19Timeline)
@@ -192,16 +163,9 @@ func x19Arm(seed int64, sp x19Spec, cfg replic.Config, reqs []workload.Request, 
 	}
 	for _, r := range reqs {
 		r := r
-		launch := base + r.At
-		nw.Schedule(launch, func() {
-			// The launch time and the completion clock are both taken from
-			// quantities that are engine-exact: the schedule time itself and
-			// the requesting node's shard clock (== the global clock on the
-			// single-heap engine). Reading nw.Now() here instead would lag at
-			// window granularity on the sharded engine and skew measured
-			// latency across layouts.
-			done := meter.doneOn(r.At, launch, clients[r.Client].Node().Now)
-			clients[r.Client].Get(objs[r.Object], sp.timeout, func(data []byte, err error) {
+		c := clients[r.Client]
+		meter.launch(nw, r.At, c.Node(), func(done func(bool)) {
+			c.Get(objs[r.Object], sp.timeout, func(data []byte, err error) {
 				done(err == nil && len(data) == sp.objBytes)
 			})
 		})
@@ -241,16 +205,52 @@ func x19Arm(seed int64, sp x19Spec, cfg replic.Config, reqs []workload.Request, 
 	}
 	return x19Result{
 		cell: x19Cell{
-			avail:       float64(meter.ok) / float64(len(reqs)),
-			p95:         meter.lat.Quantile(0.95),
+			avail:       meter.avail(),
+			p95:         meter.p95(),
 			originShare: share,
 			replPeak:    float64(peak),
 			replEnd:     float64(end),
 		},
-		outcomes: meter.outcomes,
+		outcomes: meter.outcomes(),
 		timeline: timeline,
 		provHeld: held,
 	}
+}
+
+// x19Stock attaches replic providers and clients to an arm's nodes, seeds
+// the catalog — object o's origin is provider o%P (pinned), plus k-1
+// static replicas on the following providers — and starts the providers.
+func x19Stock(sp x19Spec, cfg replic.Config, dir simnet.NodeID, provNodes, clientNodes []*simnet.Node, regionOf map[simnet.NodeID]int, rs *workload.RegionSet) ([]*replic.Provider, []*replic.Client, []cryptoutil.Hash) {
+	provIDs := make([]simnet.NodeID, len(provNodes))
+	for i, n := range provNodes {
+		provIDs[i] = n.ID()
+	}
+	provs := make([]*replic.Provider, len(provNodes))
+	for i, n := range provNodes {
+		provs[i] = replic.NewProvider(n, cfg, dir, sp.regions, regionOf)
+		provs[i].SetPeers(provIDs)
+	}
+	clients := make([]*replic.Client, len(clientNodes))
+	for i, n := range clientNodes {
+		clients[i] = replic.NewClient(n, cfg, dir, regionOf[n.ID()], regionOf, rs.Extra)
+	}
+	objs := make([]cryptoutil.Hash, sp.objects)
+	for o := range objs {
+		payload := make([]byte, sp.objBytes)
+		for i := range payload {
+			payload[i] = byte(o*31 + i)
+		}
+		objs[o] = cryptoutil.SumHash(payload)
+		origin := o % sp.providers
+		provs[origin].Put(objs[o], payload, true)
+		for j := 1; j < sp.k; j++ {
+			provs[(origin+j)%sp.providers].Put(objs[o], payload, false)
+		}
+	}
+	for _, p := range provs {
+		p.Start()
+	}
+	return provs, clients, objs
 }
 
 // replicationMatrix is the numeric core of X19: one shared flash-crowd

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cryptoutil"
-	"repro/internal/metrics"
 	"repro/internal/overload"
 	"repro/internal/replic"
 	"repro/internal/resil"
@@ -115,23 +113,18 @@ const (
 )
 
 // x20Pinger schedules the ctl.ping probe stream from monitor against
-// target across the horizon and returns the latency sample.
-func x20Pinger(nw *simnet.Network, monitor *simnet.RPCNode, target simnet.NodeID, base time.Duration, sp x18Spec) *metrics.Sample {
-	lat := &metrics.Sample{}
+// target across the horizon. Only the meter's p95 is read: the monitor is
+// an unskewed anchor, so a timed-out probe completes at exactly
+// x20PingTimeout and a starved control plane cannot hide from the
+// percentile.
+func x20Pinger(nw *simnet.Network, monitor *simnet.RPCNode, target simnet.NodeID, base time.Duration, sp x18Spec) *slaMeter {
+	ctl := newSLAMeter(x20PingTimeout, base, int(sp.horizon/x20PingEvery))
 	for at := x20PingEvery; at < sp.horizon; at += x20PingEvery {
-		launch := base + at
-		nw.Schedule(launch, func() {
-			start := monitor.Node().Now()
-			monitor.Call(target, "ctl.ping", nil, 32, x20PingTimeout, func(resp any, err error) {
-				if err != nil {
-					lat.Observe(x20PingTimeout.Seconds())
-					return
-				}
-				lat.Observe((monitor.Node().Now() - start).Seconds())
-			})
+		ctl.launch(nw, at, monitor.Node(), func(done func(bool)) {
+			monitor.Call(target, "ctl.ping", nil, 32, x20PingTimeout, func(resp any, err error) { done(err == nil) })
 		})
 	}
-	return lat
+	return ctl
 }
 
 // x20Cell is one arm's scoreboard.
@@ -148,11 +141,11 @@ type x20Cell struct {
 // suite's availability windows.
 type x20Result struct {
 	cell     x20Cell
-	outcomes []x18Outcome
+	outcomes []slaOutcome
 }
 
 // x20FlashAvail scores within-SLA availability over the flash window.
-func x20FlashAvail(outcomes []x18Outcome, sp x18Spec) float64 {
+func x20FlashAvail(outcomes []slaOutcome, sp x18Spec) float64 {
 	ws, we := x20FlashWindow(sp)
 	tot, ok := 0, 0
 	for _, o := range outcomes {
@@ -218,27 +211,27 @@ func x20Feudal(seed int64, sp x20Spec, protected bool, reqs []workload.Request, 
 		// (crashing the only server measures the crash, not the queue).
 		sc.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
 	}
-	meter := newX18Meter(nw, sp.x18Spec, len(reqs))
+	meter := newSLAMeter(sp.sla, base, len(reqs))
 	ctl := x20Pinger(nw, monitor, origin.Node().ID(), base, sp.x18Spec)
 	for _, r := range reqs {
 		r := r
-		launch := base + r.At
-		nw.Schedule(launch, func() {
-			done := meter.doneOn(r.At, launch, clients[r.Client].RPC().Node().Now)
-			clients[r.Client].Call(origin.Node().ID(), "content.get", r.Object, 200, sp.timeout,
+		c := clients[r.Client]
+		meter.launch(nw, r.At, c.RPC().Node(), func(done func(bool)) {
+			c.Call(origin.Node().ID(), "content.get", r.Object, 200, sp.timeout,
 				func(resp any, err error) { done(err == nil) })
 		})
 	}
 	nw.Run(base + sp.horizon + x18Grace)
+	outcomes := meter.outcomes()
 	return x20Result{
 		cell: x20Cell{
-			flashAvail: x20FlashAvail(meter.outcomes, sp.x18Spec),
-			avail:      float64(meter.ok) / float64(len(reqs)),
-			p95:        meter.lat.Quantile(0.95),
-			ctlP95:     ctl.Quantile(0.95),
+			flashAvail: x20FlashAvail(outcomes, sp.x18Spec),
+			avail:      meter.avail(),
+			p95:        meter.p95(),
+			ctlP95:     ctl.p95(),
 			shed:       x20Sheds(nw),
 		},
-		outcomes: meter.outcomes,
+		outcomes: outcomes,
 	}
 }
 
@@ -261,10 +254,8 @@ func x20Replic(seed int64, sp x20Spec, protected bool, reqs []workload.Request, 
 		ids = append(ids, clientNodes[i].ID())
 	}
 	provNodes := make([]*simnet.Node, sp.providers)
-	provIDs := make([]simnet.NodeID, sp.providers)
 	for i := range provNodes {
 		provNodes[i] = nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-		provIDs[i] = provNodes[i].ID()
 		ids = append(ids, provNodes[i].ID())
 	}
 	rs.Apply(nw, ids)
@@ -279,32 +270,7 @@ func x20Replic(seed int64, sp x20Spec, protected bool, reqs []workload.Request, 
 		}
 	}
 
-	provs := make([]*replic.Provider, sp.providers)
-	for i, n := range provNodes {
-		provs[i] = replic.NewProvider(n, cfg, dirNode.ID(), sp.regions, regionOf)
-		provs[i].SetPeers(provIDs)
-	}
-	clients := make([]*replic.Client, sp.clients)
-	for i, n := range clientNodes {
-		clients[i] = replic.NewClient(n, cfg, dirNode.ID(), regionOf[n.ID()], regionOf, rs.Extra)
-	}
-
-	objs := make([]cryptoutil.Hash, sp.objects)
-	for o := range objs {
-		payload := make([]byte, sp.objBytes)
-		for i := range payload {
-			payload[i] = byte(o*31 + i)
-		}
-		objs[o] = cryptoutil.SumHash(payload)
-		origin := o % sp.providers
-		provs[origin].Put(objs[o], payload, true)
-		for j := 1; j < sp.k; j++ {
-			provs[(origin+j)%sp.providers].Put(objs[o], payload, false)
-		}
-	}
-	for _, p := range provs {
-		p.Start()
-	}
+	provs, clients, objs := x19Stock(sp.x19Spec, cfg, dirNode.ID(), provNodes, clientNodes, regionOf, rs)
 	// The probe target is the provider the flash spike concentrates on:
 	// the flash object's pinned origin.
 	hot := provs[sp.flash.Object%sp.providers]
@@ -318,7 +284,7 @@ func x20Replic(seed int64, sp x20Spec, protected bool, reqs []workload.Request, 
 	if sc != nil {
 		sc.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
 	}
-	meter := newX18Meter(nw, sp.x18Spec, len(reqs))
+	meter := newSLAMeter(sp.sla, base, len(reqs))
 	ctl := x20Pinger(nw, monitor, hot.Node().ID(), base, sp.x18Spec)
 	replPeak := 0
 	for i := 0; i <= x19Timeline; i++ {
@@ -331,25 +297,25 @@ func x20Replic(seed int64, sp x20Spec, protected bool, reqs []workload.Request, 
 	}
 	for _, r := range reqs {
 		r := r
-		launch := base + r.At
-		nw.Schedule(launch, func() {
-			done := meter.doneOn(r.At, launch, clients[r.Client].Node().Now)
-			clients[r.Client].Get(objs[r.Object], sp.timeout, func(data []byte, err error) {
+		c := clients[r.Client]
+		meter.launch(nw, r.At, c.Node(), func(done func(bool)) {
+			c.Get(objs[r.Object], sp.timeout, func(data []byte, err error) {
 				done(err == nil && len(data) == sp.objBytes)
 			})
 		})
 	}
 	nw.Run(base + sp.horizon + x18Grace)
+	outcomes := meter.outcomes()
 	return x20Result{
 		cell: x20Cell{
-			flashAvail: x20FlashAvail(meter.outcomes, sp.x18Spec),
-			avail:      float64(meter.ok) / float64(len(reqs)),
-			p95:        meter.lat.Quantile(0.95),
-			ctlP95:     ctl.Quantile(0.95),
+			flashAvail: x20FlashAvail(outcomes, sp.x18Spec),
+			avail:      meter.avail(),
+			p95:        meter.p95(),
+			ctlP95:     ctl.p95(),
 			shed:       x20Sheds(nw),
 			replPeak:   float64(replPeak),
 		},
-		outcomes: meter.outcomes,
+		outcomes: outcomes,
 	}
 }
 

@@ -1,181 +1,11 @@
-// Package metrics provides small, dependency-free statistical helpers used
-// by the simulator and the experiment harnesses: streaming summaries,
-// fixed-bucket histograms, percentile estimation over recorded samples, and
-// simple rate counters.
+// Package metrics provides the fixed-bucket histogram the simulator keeps
+// per message kind for delivery latency: constant memory at any message
+// volume, and mergeable bucket by bucket so the sharded engine can combine
+// per-shard histograms in any order. Exact
+// quantiles over retained samples live in obs.Histogram.
 //
-// All types are safe for single-goroutine use; Summary and Histogram also
-// provide locked variants via their *Sync wrappers where experiments run
-// concurrent workers.
+// Histogram is not safe for concurrent use.
 package metrics
-
-import (
-	"fmt"
-	"math"
-	"sort"
-	"sync"
-)
-
-// Summary accumulates a stream of float64 observations and reports count,
-// mean, min, max, variance and standard deviation without retaining the
-// samples. Variance uses Welford's online algorithm for numerical stability.
-type Summary struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Observe adds one sample to the summary.
-func (s *Summary) Observe(v float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
-	delta := v - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (v - s.mean)
-}
-
-// Count returns the number of samples observed.
-func (s *Summary) Count() int64 { return s.n }
-
-// Mean returns the arithmetic mean of the observed samples, or 0 if empty.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observed sample, or 0 if empty.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observed sample, or 0 if empty.
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the population variance of the observed samples.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-// Merge folds other into s as if all of other's samples had been observed
-// by s. Uses the parallel variance combination formula.
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n := s.n + other.n
-	delta := other.mean - s.mean
-	mean := s.mean + delta*float64(other.n)/float64(n)
-	m2 := s.m2 + other.m2 + delta*delta*float64(s.n)*float64(other.n)/float64(n)
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-}
-
-// String renders the summary as a single human-readable line.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g sd=%.4g",
-		s.n, s.Mean(), s.Min(), s.Max(), s.Stddev())
-}
-
-// Sample retains every observation so that exact percentiles can be
-// computed. Intended for experiment-scale data (up to a few million points).
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Observe appends one sample.
-func (p *Sample) Observe(v float64) {
-	p.xs = append(p.xs, v)
-	p.sorted = false
-}
-
-// Count returns the number of retained samples.
-func (p *Sample) Count() int { return len(p.xs) }
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func (p *Sample) Mean() float64 {
-	if len(p.xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range p.xs {
-		sum += v
-	}
-	return sum / float64(len(p.xs))
-}
-
-// Sum returns the total of all samples.
-func (p *Sample) Sum() float64 {
-	var sum float64
-	for _, v := range p.xs {
-		sum += v
-	}
-	return sum
-}
-
-func (p *Sample) sort() {
-	if !p.sorted {
-		sort.Float64s(p.xs)
-		p.sorted = true
-	}
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
-// between closest ranks. Returns 0 for an empty sample.
-func (p *Sample) Quantile(q float64) float64 {
-	if len(p.xs) == 0 {
-		return 0
-	}
-	p.sort()
-	if q <= 0 {
-		return p.xs[0]
-	}
-	if q >= 1 {
-		return p.xs[len(p.xs)-1]
-	}
-	pos := q * float64(len(p.xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return p.xs[lo]
-	}
-	frac := pos - float64(lo)
-	return p.xs[lo]*(1-frac) + p.xs[hi]*frac
-}
-
-// Median returns the 0.5 quantile.
-func (p *Sample) Median() float64 { return p.Quantile(0.5) }
-
-// P99 returns the 0.99 quantile.
-func (p *Sample) P99() float64 { return p.Quantile(0.99) }
-
-// Values returns a copy of the retained samples in sorted order.
-func (p *Sample) Values() []float64 {
-	p.sort()
-	out := make([]float64, len(p.xs))
-	copy(out, p.xs)
-	return out
-}
 
 // Histogram counts observations into fixed-width buckets covering
 // [lo, hi); samples outside the range land in under/overflow buckets.
@@ -276,52 +106,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += float64(n)
 	}
 	return h.hi
-}
-
-// Counter is a monotonically increasing event counter, safe for concurrent
-// use.
-type Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-// Add increments the counter by delta, which must be non-negative.
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("metrics: negative Counter.Add")
-	}
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Ratio safely divides num by den, returning 0 when den is zero. It keeps
-// experiment report code free of divide-by-zero guards.
-func Ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs))
 }

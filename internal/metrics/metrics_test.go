@@ -2,140 +2,8 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummaryBasic(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		s.Observe(v)
-	}
-	if s.Count() != 5 {
-		t.Fatalf("count = %d, want 5", s.Count())
-	}
-	if s.Mean() != 3 {
-		t.Errorf("mean = %v, want 3", s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("min/max = %v/%v, want 1/5", s.Min(), s.Max())
-	}
-	if got, want := s.Variance(), 2.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("variance = %v, want %v", got, want)
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.Stddev() != 0 {
-		t.Errorf("empty summary should report zeros, got %v", s.String())
-	}
-}
-
-func TestSummaryMergeMatchesCombinedStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var a, b, all Summary
-	for i := 0; i < 1000; i++ {
-		v := rng.NormFloat64()*3 + 10
-		all.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count = %d, want %d", a.Count(), all.Count())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Errorf("merged mean = %v, want %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Errorf("merged variance = %v, want %v", a.Variance(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Errorf("merged min/max = %v/%v, want %v/%v", a.Min(), a.Max(), all.Min(), all.Max())
-	}
-}
-
-func TestSummaryMergeIntoEmpty(t *testing.T) {
-	var a, b Summary
-	b.Observe(7)
-	a.Merge(&b)
-	if a.Count() != 1 || a.Mean() != 7 {
-		t.Errorf("merge into empty: got %v", a.String())
-	}
-	var c Summary
-	a.Merge(&c) // merging empty is a no-op
-	if a.Count() != 1 {
-		t.Errorf("merge of empty changed count: %d", a.Count())
-	}
-}
-
-func TestSampleQuantiles(t *testing.T) {
-	var p Sample
-	for i := 1; i <= 100; i++ {
-		p.Observe(float64(i))
-	}
-	if got := p.Median(); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("median = %v, want 50.5", got)
-	}
-	if got := p.Quantile(0); got != 1 {
-		t.Errorf("q0 = %v, want 1", got)
-	}
-	if got := p.Quantile(1); got != 100 {
-		t.Errorf("q1 = %v, want 100", got)
-	}
-	if got := p.P99(); got < 99 || got > 100 {
-		t.Errorf("p99 = %v, want in [99,100]", got)
-	}
-}
-
-func TestSampleEmptyQuantile(t *testing.T) {
-	var p Sample
-	if p.Quantile(0.5) != 0 || p.Mean() != 0 {
-		t.Error("empty sample should report zeros")
-	}
-}
-
-func TestSampleObserveAfterQuantile(t *testing.T) {
-	var p Sample
-	p.Observe(10)
-	_ = p.Median() // forces a sort
-	p.Observe(1)   // must invalidate sort flag
-	if got := p.Quantile(0); got != 1 {
-		t.Errorf("min after re-observe = %v, want 1", got)
-	}
-}
-
-func TestQuantileMonotonicProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		var p Sample
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			p.Observe(v)
-		}
-		if p.Count() == 0 {
-			return true
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := p.Quantile(q)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
@@ -175,51 +43,4 @@ func TestHistogramInvalidPanics(t *testing.T) {
 		}
 	}()
 	NewHistogram(5, 5, 3)
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			for i := 0; i < 1000; i++ {
-				c.Inc()
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if c.Value() != 8000 {
-		t.Errorf("counter = %d, want 8000", c.Value())
-	}
-}
-
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative Add should panic")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(1, 0) != 0 {
-		t.Error("ratio with zero denominator should be 0")
-	}
-	if Ratio(3, 4) != 0.75 {
-		t.Error("ratio miscomputed")
-	}
-}
-
-func TestMeanHelper(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("mean of empty should be 0")
-	}
-	if Mean([]float64{2, 4}) != 3 {
-		t.Error("mean miscomputed")
-	}
 }

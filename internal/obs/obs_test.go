@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -161,5 +163,71 @@ func TestWriteCSV(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("CSV missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestHistogramQuantiles(t *testing.T) {
+	var h Histogram
+	for i := 1; i <= 100; i++ {
+		h.Observe(float64(i))
+	}
+	if got := h.Quantile(0.5); math.Abs(got-50.5) > 1e-9 {
+		t.Errorf("median = %v, want 50.5", got)
+	}
+	if got := h.Quantile(0.95); math.Abs(got-95.05) > 1e-9 {
+		t.Errorf("p95 = %v, want 95.05", got)
+	}
+	if got := h.Quantile(0); got != 1 {
+		t.Errorf("q0 = %v, want 1", got)
+	}
+	if got := h.Quantile(1); got != 100 {
+		t.Errorf("q1 = %v, want 100", got)
+	}
+	if got := h.Quantile(0.99); got < 99 || got > 100 {
+		t.Errorf("p99 = %v, want in [99,100]", got)
+	}
+}
+
+func TestHistogramEmpty(t *testing.T) {
+	var h Histogram
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Count() != 0 {
+		t.Error("empty histogram should report zeros")
+	}
+}
+
+func TestHistogramObserveAfterQuantile(t *testing.T) {
+	var h Histogram
+	h.Observe(10)
+	_ = h.Quantile(0.5) // forces a sort
+	h.Observe(1)        // must invalidate the sorted flag
+	if got := h.Quantile(0); got != 1 {
+		t.Errorf("min after re-observe = %v, want 1", got)
+	}
+}
+
+func TestHistogramQuantileMonotonic(t *testing.T) {
+	f := func(raw []float64) bool {
+		var h Histogram
+		for _, v := range raw {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				continue
+			}
+			h.Observe(v)
+		}
+		if h.Count() == 0 {
+			return true
+		}
+		prev := math.Inf(-1)
+		for q := 0.0; q <= 1.0; q += 0.1 {
+			v := h.Quantile(q)
+			if v < prev {
+				return false
+			}
+			prev = v
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

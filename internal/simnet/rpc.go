@@ -258,7 +258,10 @@ func (t ReplyToken) Reply(resp any, respSize int) {
 }
 
 // ServeDeferred registers a deferred handler for method; it takes
-// precedence over both async and synchronous handlers of the same name.
+// precedence over a synchronous handler of the same name but yields to an
+// async one. Dispatch order is async, then deferred, then sync: storage's
+// OutsourceFetch cheat relies on an async handler overriding an
+// overload-protected (deferred) Get.
 func (r *RPCNode) ServeDeferred(method string, h RPCDeferredHandler) {
 	r.deferredServers[method] = h
 }

@@ -414,6 +414,51 @@ func TestRPCAsyncDoubleReplyPanics(t *testing.T) {
 	nw.RunAll()
 }
 
+// TestRPCDispatchPrecedence pins the handler order onMessage applies when
+// one method has several registrations: async, then deferred, then sync.
+func TestRPCDispatchPrecedence(t *testing.T) {
+	cases := []struct {
+		name                  string
+		async, deferred, sync bool
+		want                  string
+	}{
+		{"sync", false, false, true, "sync"},
+		{"deferred", false, true, false, "deferred"},
+		{"async", true, false, false, "async"},
+		{"deferred>sync", false, true, true, "deferred"},
+		{"async>sync", true, false, true, "async"},
+		{"async>deferred", true, true, false, "async"},
+		{"async>deferred>sync", true, true, true, "async"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := New(23)
+			client := NewRPCNode(nw.AddNode())
+			server := NewRPCNode(nw.AddNode())
+			if tc.sync {
+				server.Serve("m", func(NodeID, any) (any, int) { return "sync", 8 })
+			}
+			if tc.deferred {
+				server.ServeDeferred("m", func(_ NodeID, _ any, tok ReplyToken) { tok.Reply("deferred", 8) })
+			}
+			if tc.async {
+				server.ServeAsync("m", func(_ NodeID, _ any, reply func(any, int)) { reply("async", 8) })
+			}
+			var got any
+			client.Call(server.Node().ID(), "m", nil, 8, time.Minute, func(resp any, err error) {
+				if err != nil {
+					t.Errorf("call failed: %v", err)
+				}
+				got = resp
+			})
+			nw.RunAll()
+			if got != tc.want {
+				t.Errorf("answered by %v, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestSharedRPCNodePerNode(t *testing.T) {
 	nw := New(22)
 	n := nw.AddNode()
