@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
 	"repro/internal/gossip"
@@ -388,5 +389,30 @@ func TestAllocAdmitZero(t *testing.T) {
 	got := testing.AllocsPerRun(200, cProt)
 	if got > base {
 		t.Errorf("admit/complete adds %.2f allocs/op over the plain RPC path (%.2f vs %.2f), want 0", got-base, got, base)
+	}
+}
+
+// TestAllocGrind pins a proof-of-work search at a constant allocation
+// cost, however many nonces it tries: the target is computed once per
+// Grind and the header encoding is patched in place, so the only
+// allocations are the target's big.Int division. Miners and the ledger
+// workload grind every block, and at difficulty 4096 a per-nonce
+// allocation is thousands per block.
+func TestAllocGrind(t *testing.T) {
+	const budget = 3.0
+	for _, d := range []uint64{16, 4096} {
+		h := chain.Header{Prev: cryptoutil.SumHash([]byte("alloc-grind")), Height: 1, Difficulty: d}
+		tries := uint64(0)
+		grind := func() {
+			h.Time++ // a fresh search every run
+			h.Nonce = 0
+			h.Grind()
+			tries += h.Nonce + 1
+		}
+		avg := testing.AllocsPerRun(50, grind)
+		t.Logf("Grind at difficulty %d: %.1f allocs/op over %d tries (budget %.0f)", d, avg, tries, budget)
+		if avg > budget {
+			t.Errorf("Grind at difficulty %d allocates %.1f/op, budget %.0f", d, avg, budget)
+		}
 	}
 }

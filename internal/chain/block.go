@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/big"
 
@@ -21,20 +22,26 @@ type Header struct {
 	Nonce      uint64
 }
 
-func (h *Header) encode() []byte {
-	buf := make([]byte, 0, 32+32+8*4)
-	buf = append(buf, h.Prev[:]...)
-	buf = append(buf, h.MerkleRoot[:]...)
-	var scratch [8]byte
-	for _, v := range []uint64{h.Height, uint64(h.Time), h.Difficulty, h.Nonce} {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		buf = append(buf, scratch[:]...)
-	}
+// headerSize is the length of a header's encoding; the nonce is its last
+// eight bytes.
+const headerSize = 32 + 32 + 8*4
+
+func (h *Header) encode() [headerSize]byte {
+	var buf [headerSize]byte
+	copy(buf[0:32], h.Prev[:])
+	copy(buf[32:64], h.MerkleRoot[:])
+	binary.BigEndian.PutUint64(buf[64:], h.Height)
+	binary.BigEndian.PutUint64(buf[72:], uint64(h.Time))
+	binary.BigEndian.PutUint64(buf[80:], h.Difficulty)
+	binary.BigEndian.PutUint64(buf[headerSize-8:], h.Nonce)
 	return buf
 }
 
 // Hash returns the block identifier: the SHA-256 of the header encoding.
-func (h *Header) Hash() cryptoutil.Hash { return cryptoutil.SumHash(h.encode()) }
+func (h *Header) Hash() cryptoutil.Hash {
+	buf := h.encode()
+	return cryptoutil.SumHash(buf[:])
+}
 
 // Block is a header plus its transactions; the first transaction must be
 // the coinbase.
@@ -50,7 +57,7 @@ func (b *Block) Hash() cryptoutil.Hash { return b.Header.Hash() }
 // all transactions. Chain.TotalBytes sums this to track the paper's
 // "endless ledger" growth.
 func (b *Block) WireSize() int {
-	size := len(b.Header.encode())
+	size := headerSize
 	for _, tx := range b.Txs {
 		size += tx.WireSize()
 	}
@@ -77,18 +84,44 @@ func workTarget(d uint64) *big.Int {
 	return new(big.Int).Div(maxHashValue, new(big.Int).SetUint64(d))
 }
 
+// target returns difficulty d's proof-of-work threshold as a big-endian
+// 32-byte value: workTarget(d), or 2²⁵⁶−1 for d ≤ 1, whose workTarget
+// 2²⁵⁶ does not fit; every hash meets either bound.
+func target(d uint64) (t [32]byte) {
+	if d <= 1 {
+		for i := range t {
+			t[i] = 0xFF
+		}
+		return t
+	}
+	workTarget(d).FillBytes(t[:])
+	return t
+}
+
+// meets reports whether hash, read as a big-endian integer, is at most
+// the threshold t.
+func meets(hash cryptoutil.Hash, t [32]byte) bool {
+	return bytes.Compare(hash[:], t[:]) <= 0
+}
+
 // MeetsTarget reports whether the header's hash satisfies its difficulty.
 func (h *Header) MeetsTarget() bool {
-	hash := h.Hash()
-	v := new(big.Int).SetBytes(hash[:])
-	return v.Cmp(workTarget(h.Difficulty)) <= 0
+	return meets(h.Hash(), target(h.Difficulty))
 }
 
 // Grind searches nonces (starting from the current one) until the header
 // meets its target, mutating the header in place. With the modest
-// difficulties simulations use this is a few thousand hash evaluations.
+// difficulties simulations use this is a few thousand hash evaluations;
+// the target and the encoding are built once, and each try only rewrites
+// the nonce bytes and allocates nothing.
 func (h *Header) Grind() {
-	for !h.MeetsTarget() {
+	t := target(h.Difficulty)
+	buf := h.encode()
+	for {
+		binary.BigEndian.PutUint64(buf[headerSize-8:], h.Nonce)
+		if meets(cryptoutil.SumHash(buf[:]), t) {
+			return
+		}
 		h.Nonce++
 	}
 }

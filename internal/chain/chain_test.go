@@ -563,16 +563,46 @@ func TestMempoolSameNonceConflictPrefersHigherFee(t *testing.T) {
 	cheap.Sign(kp)
 	rich := &Tx{To: Address{2}, Amount: 1, Fee: 9, Nonce: 0, Kind: KindPayment}
 	rich.Sign(kp)
-	// Regardless of insertion order, the higher-fee conflict must win.
-	for _, order := range [][]*Tx{{cheap, rich}, {rich, cheap}} {
+	next := &Tx{To: Address{3}, Amount: 1, Fee: 1, Nonce: 1, Kind: KindPayment}
+	next.Sign(kp)
+	// Regardless of insertion order, the higher-fee conflict must win, and
+	// the losing conflict must not block the sender's next nonce.
+	for _, order := range [][]*Tx{{cheap, rich, next}, {next, rich, cheap}} {
 		pool := NewMempool()
 		for _, tx := range order {
 			pool.Add(tx)
 		}
 		sel := pool.Select(st, 10)
-		if len(sel) != 1 || sel[0].ID() != rich.ID() {
-			t.Fatalf("selected %d txs; conflict resolution not fee-deterministic", len(sel))
+		if len(sel) != 2 || sel[0].ID() != rich.ID() || sel[1].ID() != next.ID() {
+			t.Fatalf("selected %d txs, want the higher-fee conflict then nonce 1", len(sel))
 		}
+	}
+}
+
+// A pooled tx whose nonce the state has already spent (a conflicting tx
+// was mined elsewhere) is skipped, not evicted, and does not block the
+// sender's next valid tx.
+func TestMempoolSkipsSpentNonce(t *testing.T) {
+	kp := testKey(t, 1)
+	st := NewState(map[Address]uint64{kp.Fingerprint(): 100})
+	mined := &Tx{To: Address{1}, Amount: 1, Fee: 1, Nonce: 0, Kind: KindPayment}
+	mined.Sign(kp)
+	if err := st.ApplyTx(mined); err != nil {
+		t.Fatal(err)
+	}
+	stale := &Tx{To: Address{2}, Amount: 1, Fee: 5, Nonce: 0, Kind: KindPayment}
+	stale.Sign(kp)
+	next := &Tx{To: Address{3}, Amount: 1, Fee: 1, Nonce: 1, Kind: KindPayment}
+	next.Sign(kp)
+	pool := NewMempool()
+	pool.Add(stale)
+	pool.Add(next)
+	sel := pool.Select(st, 10)
+	if len(sel) != 1 || sel[0].ID() != next.ID() {
+		t.Fatalf("selected %d txs, want only the nonce-1 tx", len(sel))
+	}
+	if !pool.Has(stale.ID()) {
+		t.Error("spent-nonce tx evicted; a reorg could still revive it")
 	}
 }
 

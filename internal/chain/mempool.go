@@ -44,13 +44,16 @@ func (m *Mempool) RemoveMined(b *Block) {
 // Select returns up to max transactions that apply cleanly, in order,
 // against state st: highest fee first, respecting per-sender nonce
 // sequences. Transactions that cannot currently apply (nonce gap,
-// insufficient balance) are left in the pool; permanently invalid
-// transactions (bad signature) are evicted.
+// insufficient balance, a nonce st has already spent) are left in the pool;
+// permanently invalid transactions (bad signature) are evicted. Signatures
+// are checked through st's signature cache, so each pooled transaction is
+// verified at most once.
 func (m *Mempool) Select(st *State, max int) []*Tx {
+	work := st.Clone()
 	// Group by sender, sorted by nonce, so sequences apply in order.
 	bySender := map[Address][]*Tx{}
 	for _, tx := range m.txs {
-		if err := tx.CheckSig(); err != nil {
+		if err := work.checkSig(tx); err != nil {
 			delete(m.txs, tx.ID())
 			continue
 		}
@@ -73,14 +76,21 @@ func (m *Mempool) Select(st *State, max int) []*Tx {
 	// Candidate heads: the next applicable tx per sender. Pick the highest
 	// fee among heads, apply, advance that sender. Deterministic tie-break
 	// on tx ID keeps simulations reproducible.
-	work := st.Clone()
 	var out []*Tx
 	idx := map[Address]int{}
 	for len(out) < max {
 		var best *Tx
 		var bestID cryptoutil.Hash
 		for from, seq := range bySender {
+			// Step past nonces already spent: the losing side of a
+			// same-nonce conflict, or a tx whose slot a conflicting tx
+			// took on chain. They stay pooled, since a reorg can revive
+			// them, but must not block the sender's next nonce.
 			i := idx[from]
+			for i < len(seq) && seq[i].Nonce < work.Nonce(from) {
+				i++
+			}
+			idx[from] = i
 			if i >= len(seq) {
 				continue
 			}

@@ -279,3 +279,76 @@ func BenchmarkChainValidate(b *testing.B) {
 		}
 	}
 }
+
+// benchBacklog returns a config funding four senders and a 16-tx backlog,
+// four per sender: the two blocks' worth of pending transactions the
+// ledger benchmark holds at each Select.
+func benchBacklog(b *testing.B) (Config, *Mempool) {
+	rng := rand.New(rand.NewSource(1))
+	alloc := map[Address]uint64{}
+	var wallets []*Wallet
+	for i := 0; i < 4; i++ {
+		kp, err := cryptoutil.GenerateKeyPair(rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := NewWallet(kp, 0)
+		wallets = append(wallets, w)
+		alloc[w.Address()] = 1 << 40
+	}
+	pool := NewMempool()
+	for i := 0; i < 16; i++ {
+		pool.Add(wallets[i%4].Pay(Address{byte(i)}, uint64(1+rng.Intn(1000)), uint64(1+rng.Intn(50))))
+	}
+	return Config{InitialDifficulty: 4096, MaxTxsPerBlock: 8, GenesisAlloc: alloc}, pool
+}
+
+// BenchmarkMempoolSelect picks an 8-tx block from the backlog. "cold"
+// selects against a fresh state each time, whose empty cache makes it
+// verify each pooled tx once per call; "warm" selects against a chain's
+// head state, whose replica cache already holds every signature.
+func BenchmarkMempoolSelect(b *testing.B) {
+	cfg, pool := benchBacklog(b)
+	c := NewChain(cfg)
+	for _, bc := range []struct {
+		name  string
+		state func() *State
+	}{
+		{"cold", func() *State { return NewState(cfg.GenesisAlloc) }},
+		{"warm", c.State},
+	} {
+		state := bc.state
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := state()
+				b.StartTimer()
+				if txs := pool.Select(st, cfg.MaxTxsPerBlock); len(txs) != cfg.MaxTxsPerBlock {
+					b.Fatalf("selected %d txs, want %d", len(txs), cfg.MaxTxsPerBlock)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkChainAddBlock has a fresh validator accept a ground 8-tx block,
+// verifying every signature once.
+func BenchmarkChainAddBlock(b *testing.B) {
+	cfg, pool := benchBacklog(b)
+	miner := NewChain(cfg)
+	blk, err := miner.NewBlock(miner.HeadHash(), pool.Select(miner.State(), cfg.MaxTxsPerBlock), miner.Config().TargetSpacing, Address{1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		v := NewChain(cfg)
+		b.StartTimer()
+		if err := v.AddBlock(blk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,31 +2,48 @@ package chain
 
 import (
 	"fmt"
+
+	"repro/internal/cryptoutil"
 )
 
 // State is the account state at some block: balances and per-account
 // transaction nonces. States are immutable once attached to a block; Clone
-// before applying new transactions.
+// before applying new transactions. A State is not safe for concurrent use:
+// checking a transaction may record its signature in the replica's cache.
 type State struct {
 	Balances map[Address]uint64
 	Nonces   map[Address]uint64
+	// verified holds the IDs of transactions whose signature passed
+	// CheckSig on this replica. A signature's validity is a pure function
+	// of the transaction bytes, and an ID is recomputed from the current
+	// bytes, so a hit needs no second check. NewState makes the set and
+	// Clone shares it, so every state of a chain shares one cache and two
+	// chains never share one. Like the chain's block bodies, it grows with
+	// every valid tx the replica sees.
+	verified map[cryptoutil.Hash]struct{}
 }
 
 // NewState creates an empty state, optionally seeded with an initial
 // allocation.
 func NewState(alloc map[Address]uint64) *State {
-	s := &State{Balances: map[Address]uint64{}, Nonces: map[Address]uint64{}}
+	s := &State{
+		Balances: map[Address]uint64{},
+		Nonces:   map[Address]uint64{},
+		verified: map[cryptoutil.Hash]struct{}{},
+	}
 	for addr, amt := range alloc {
 		s.Balances[addr] = amt
 	}
 	return s
 }
 
-// Clone deep-copies the state.
+// Clone deep-copies the balances and nonces; the copy shares the
+// signature cache.
 func (s *State) Clone() *State {
 	out := &State{
 		Balances: make(map[Address]uint64, len(s.Balances)),
 		Nonces:   make(map[Address]uint64, len(s.Nonces)),
+		verified: s.verified,
 	}
 	for k, v := range s.Balances {
 		out.Balances[k] = v
@@ -44,9 +61,9 @@ func (s *State) Balance(addr Address) uint64 { return s.Balances[addr] }
 func (s *State) Nonce(addr Address) uint64 { return s.Nonces[addr] }
 
 // CheckTx validates a non-coinbase transaction against the state without
-// mutating it.
+// mutating its balances or nonces.
 func (s *State) CheckTx(tx *Tx) error {
-	if err := tx.CheckSig(); err != nil {
+	if err := s.checkSig(tx); err != nil {
 		return err
 	}
 	if tx.IsCoinbase() {
@@ -62,6 +79,20 @@ func (s *State) CheckTx(tx *Tx) error {
 	if bal := s.Balances[tx.From]; bal < need {
 		return fmt.Errorf("chain: tx %s: balance %d < %d", tx.ID().Short(), bal, need)
 	}
+	return nil
+}
+
+// checkSig is tx.CheckSig behind the replica's signature cache: only a
+// successful check is recorded.
+func (s *State) checkSig(tx *Tx) error {
+	id := tx.ID()
+	if _, ok := s.verified[id]; ok {
+		return nil
+	}
+	if err := tx.CheckSig(); err != nil {
+		return err
+	}
+	s.verified[id] = struct{}{}
 	return nil
 }
 

@@ -19,6 +19,12 @@
 // expected hashes) so that the literal grind stays cheap in wall-clock time
 // while fork choice, retargeting, and attacks behave exactly as they would
 // at production difficulty.
+//
+// Each replica verifies each transaction's signature once: a Chain's states
+// share a cache of transaction IDs whose signature has passed, in the manner
+// of Bitcoin Core's signature cache, and grinding patches the nonce into a
+// fixed header encoding against a precomputed target, so it does not
+// allocate per try.
 package chain
 
 import (
