@@ -49,12 +49,14 @@ type Node struct {
 	downtime time.Duration
 	downAt   time.Duration
 
-	// Sharded-mode fields (nil/zero on the default single-heap engine).
-	// sh is the shard that executes this node's events; origin (id+1) and
-	// oseq form the deterministic event key; srng is the node's substrate
-	// randomness stream (loss/jitter/fault draws for messages it sends),
-	// which replaces the shared network stream so draw order tracks the
-	// node's own deterministic event order.
+	// sh is the shard that executes this node's events (the network's own
+	// in single-heap mode). origin and oseq form the node's event keys:
+	// origin is id+1 in sharded mode and 0 in single-heap mode, where the
+	// engine counter keys every event. srng is the node's substrate
+	// randomness stream (loss/jitter/fault draws for messages it sends): a
+	// private stream in sharded mode, so draw order tracks the node's own
+	// deterministic event order, and the network stream in single-heap
+	// mode.
 	sh     *shard
 	origin uint64
 	oseq   uint64
@@ -62,7 +64,7 @@ type Node struct {
 }
 
 // nextOseq returns the node's next event sequence number — the per-origin
-// half of the sharded engine's (at, origin, oseq) ordering key.
+// half of the (at, origin, oseq) ordering key.
 func (n *Node) nextOseq() uint64 {
 	n.oseq++
 	return n.oseq
@@ -87,37 +89,22 @@ func (n *Node) Rand() *rand.Rand { return n.rng }
 func (n *Node) Trace() *Trace { return &n.trace }
 
 // Obs returns the observability registry protocol layers on this node
-// should annotate. On the single-heap engine that is the network-wide
-// registry; on the sharded engine it is the node's shard-private registry
+// should annotate: its shard's registry. On the single-heap engine that is
+// the network-wide registry; on the sharded engine it is shard-private
 // (safe to update from parallel windows), and exports merge all shard
 // registries order-independently — counters sum, so network-wide totals
 // come out identical either way.
-func (n *Node) Obs() *obs.Registry {
-	if n.sh != nil {
-		return n.sh.obs
-	}
-	return n.nw.obs
-}
+func (n *Node) Obs() *obs.Registry { return n.sh.obs }
 
-// Now returns the node's current virtual time: the shard clock in sharded
-// mode (shards advance independently inside a window), the global clock
-// otherwise. Protocol code on a node should prefer this over Network.Now.
-func (n *Node) Now() time.Duration {
-	if n.sh != nil {
-		return n.sh.now
-	}
-	return n.nw.now
-}
+// Now returns the node's current virtual time: its shard's clock, which in
+// sharded mode advances independently of other shards inside a window.
+// Protocol code on a node should prefer this over Network.Now.
+func (n *Node) Now() time.Duration { return n.sh.now }
 
-// schedule queues an event for this node at absolute time at: on the
-// node's shard under its deterministic key in sharded mode, or on the
-// global heap otherwise (where it is byte-identical to the historical
-// Network.schedule path).
+// schedule queues an event for this node at absolute time at, on the
+// node's shard under the node's next key.
 func (n *Node) schedule(at time.Duration, fn func(), h EventFunc, arg any) *event {
-	if n.sh != nil {
-		return n.sh.schedule(at, n.origin, n.nextOseq(), fn, h, arg)
-	}
-	return n.nw.schedule(at, fn, h, arg)
+	return n.sh.schedule(at, n.origin, fn, h, arg)
 }
 
 // Profile returns the node's link profile.
@@ -169,8 +156,7 @@ func (n *Node) After(d time.Duration, fn func()) { n.schedule(n.Now()+n.skewed(d
 
 // AfterTimer is After returning a cancellable Timer handle.
 func (n *Node) AfterTimer(d time.Duration, fn func()) Timer {
-	e := n.schedule(n.Now()+n.skewed(d), fn, nil, nil)
-	return Timer{e: e, gen: e.gen}
+	return timerOf(n.schedule(n.Now()+n.skewed(d), fn, nil, nil))
 }
 
 // AfterCall is the closure-free variant of After: h runs with arg after d
@@ -178,8 +164,7 @@ func (n *Node) AfterTimer(d time.Duration, fn func()) Timer {
 // timeouts, periodic protocol rounds) should prefer this over After so
 // steady-state traffic does not allocate a capture per event.
 func (n *Node) AfterCall(d time.Duration, h EventFunc, arg any) Timer {
-	e := n.schedule(n.Now()+n.skewed(d), nil, h, arg)
-	return Timer{e: e, gen: e.gen}
+	return timerOf(n.schedule(n.Now()+n.skewed(d), nil, h, arg))
 }
 
 // Handle registers a handler for messages of the given kind, replacing any
@@ -255,6 +240,18 @@ func (n *Node) UplinkBacklog() time.Duration {
 		return b
 	}
 	return 0
+}
+
+// downlink queues size bytes on the node's downlink behind earlier
+// arrivals, starting no earlier than at, and returns when the last byte
+// lands.
+func (n *Node) downlink(at time.Duration, size int) time.Duration {
+	if n.downlinkFree > at {
+		at = n.downlinkFree
+	}
+	at += secondsToDuration(float64(size*8) / n.profile.DownlinkBps)
+	n.downlinkFree = at
+	return at
 }
 
 // noteQueue records one uplink queue observation (depth including this

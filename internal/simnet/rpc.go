@@ -84,12 +84,13 @@ const rpcKind = "simnet.rpc"
 // RPCNode augments a Node with request/response plumbing. Create one per
 // node that participates in RPC traffic.
 type RPCNode struct {
-	n               *Node
-	nextID          uint64
-	pending         map[uint64]*pendingCall
-	servers         map[string]RPCHandler
-	asyncServers    map[string]RPCAsyncHandler
-	deferredServers map[string]RPCDeferredHandler
+	n       *Node
+	nextID  uint64
+	pending map[uint64]*pendingCall
+	// servers is the one dispatch table: every registration style is
+	// stored as a deferred handler, and the last registration of a method
+	// wins.
+	servers map[string]RPCDeferredHandler
 	// laneOf assigns uplink lanes per method: both the request and the
 	// reply of a lane-stamped method travel on that lane. nil (the default)
 	// means every method rides the bulk lane, with no per-message lookup.
@@ -171,11 +172,9 @@ func NewRPCNode(n *Node) *RPCNode {
 		return n.rpc
 	}
 	r := &RPCNode{
-		n:               n,
-		pending:         map[uint64]*pendingCall{},
-		servers:         map[string]RPCHandler{},
-		asyncServers:    map[string]RPCAsyncHandler{},
-		deferredServers: map[string]RPCDeferredHandler{},
+		n:       n,
+		pending: map[uint64]*pendingCall{},
+		servers: map[string]RPCDeferredHandler{},
 	}
 	n.rpc = r
 	n.Handle(rpcKind, r.onMessage)
@@ -215,12 +214,26 @@ func NewRPCNode(n *Node) *RPCNode {
 // Node returns the underlying simulated node.
 func (r *RPCNode) Node() *Node { return r.n }
 
-// Serve registers the handler for method.
-func (r *RPCNode) Serve(method string, h RPCHandler) { r.servers[method] = h }
+// Serve registers a synchronous handler for method, replacing any earlier
+// registration of it: the reply is sent as soon as h returns.
+func (r *RPCNode) Serve(method string, h RPCHandler) {
+	r.servers[method] = func(from NodeID, req any, tok ReplyToken) { tok.Reply(h(from, req)) }
+}
 
-// ServeAsync registers an asynchronous handler for method; it takes
-// precedence over a synchronous handler of the same name.
-func (r *RPCNode) ServeAsync(method string, h RPCAsyncHandler) { r.asyncServers[method] = h }
+// ServeAsync registers an asynchronous handler for method, replacing any
+// earlier registration of it. A handler that replies twice panics.
+func (r *RPCNode) ServeAsync(method string, h RPCAsyncHandler) {
+	r.servers[method] = func(from NodeID, req any, tok ReplyToken) {
+		replied := false
+		h(from, req, func(resp any, respSize int) {
+			if replied {
+				panic("simnet: async RPC handler replied twice")
+			}
+			replied = true
+			tok.Reply(resp, respSize)
+		})
+	}
+}
 
 // RPCDeferredHandler serves a method by completing a ReplyToken, possibly
 // from a later event. Unlike RPCAsyncHandler the token is a plain value —
@@ -248,22 +261,26 @@ func (t ReplyToken) Method() string { return t.method }
 // Reply sends the response back to the caller. It must be called exactly
 // once per token; calling it on a zero token is a no-op.
 func (t ReplyToken) Reply(resp any, respSize int) {
-	if t.r == nil {
-		return
+	if t.r != nil {
+		t.r.reply(t.from, t.id, t.method, resp, respSize, true)
 	}
-	reply := newEnvelope(t.r.n.nw)
-	reply.id, reply.method, reply.isReply = t.id, t.method, true
-	reply.payload, reply.ok = resp, true
-	t.r.sendEnvelope(t.from, reply, respSize+64)
 }
 
-// ServeDeferred registers a deferred handler for method; it takes
-// precedence over a synchronous handler of the same name but yields to an
-// async one. Dispatch order is async, then deferred, then sync: storage's
-// OutsourceFetch cheat relies on an async handler overriding an
-// overload-protected (deferred) Get.
+// reply sends a response envelope for call id back to its caller; served
+// reports whether the callee found a handler for the method.
+func (r *RPCNode) reply(to NodeID, id uint64, method string, resp any, respSize int, served bool) {
+	env := newEnvelope(r.n.nw)
+	env.id, env.method, env.isReply = id, method, true
+	env.payload, env.ok = resp, served
+	r.sendEnvelope(to, env, respSize+64)
+}
+
+// ServeDeferred registers a deferred handler for method, replacing any
+// earlier registration of it. Storage's OutsourceFetch cheat relies on
+// last-wins: its async Get, registered after the overload-protected
+// (deferred) one, overrides it.
 func (r *RPCNode) ServeDeferred(method string, h RPCDeferredHandler) {
-	r.deferredServers[method] = h
+	r.servers[method] = h
 }
 
 // SetMethodLane assigns an uplink lane to a method: requests and replies
@@ -390,48 +407,14 @@ func (r *RPCNode) onMessage(msg Message) {
 		done(payload, nil)
 		return
 	}
-	// Incoming request. Extract the fields before dispatch: a recyclable
-	// envelope is reused in place for the synchronous reply, and the async
-	// path must not alias an envelope whose struct may be repooled.
-	id, method, payload := env.id, env.method, env.payload
-	if ah, served := r.asyncServers[method]; served {
-		releaseEnvelope(env)
-		from := msg.From
-		replied := false
-		ah(from, payload, func(resp any, respSize int) {
-			if replied {
-				panic("simnet: async RPC handler replied twice")
-			}
-			replied = true
-			reply := newEnvelope(r.n.nw)
-			reply.id, reply.method, reply.isReply = id, method, true
-			reply.payload, reply.ok = resp, true
-			r.sendEnvelope(from, reply, respSize+64)
-		})
+	// Incoming request. Extract the fields and release the envelope before
+	// dispatch: the handler may reply from a later event, by which time a
+	// recyclable envelope may have been repooled.
+	id, method, payload, from := env.id, env.method, env.payload, msg.From
+	releaseEnvelope(env)
+	if h, served := r.servers[method]; served {
+		h(from, payload, ReplyToken{r: r, id: id, from: from, method: method})
 		return
 	}
-	if dh, served := r.deferredServers[method]; served {
-		releaseEnvelope(env)
-		dh(msg.From, payload, ReplyToken{r: r, id: id, from: msg.From, method: method})
-		return
-	}
-	h, served := r.servers[method]
-	respSize := 0
-	var resp any
-	if served {
-		resp, respSize = h(msg.From, payload)
-	}
-	reply := env
-	if !env.recycle {
-		// The request envelope may still be delivered again by a duplicate
-		// fault; leave it untouched and build the reply on a fresh one.
-		reply = newEnvelope(r.n.nw)
-		reply.id, reply.method = id, method
-	} else {
-		// Reusing the request envelope for the reply: re-evaluate recycling
-		// under the fault model in force for the reply's own send.
-		reply.recycle = r.n.nw.fault.Duplicate <= 0
-	}
-	reply.isReply, reply.payload, reply.ok = true, resp, served
-	r.sendEnvelope(msg.From, reply, respSize+64)
+	r.reply(from, id, method, nil, 0, false)
 }

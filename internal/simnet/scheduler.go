@@ -6,8 +6,11 @@ import (
 )
 
 // This file is the *engine* half of simnet's engine/substrate split: a
-// discrete-event scheduler that knows nothing about nodes, links, or
-// messages. The substrate (Network, Node) layers network semantics on top.
+// discrete-event scheduler that knows nothing about links or messages; a
+// node appears here only as the origin half of an event key. The
+// substrate (Network, Node) layers network semantics on top. Both engine
+// modes run on this one queue type: the single-heap engine is one engine,
+// and the sharded engine is one engine per shard plus the control heap.
 //
 // Design points:
 //
@@ -46,25 +49,23 @@ type Scheduler interface {
 // event is one scheduled occurrence. Events are pooled; gen disambiguates
 // successive uses of the same struct so stale Timer handles stay inert.
 //
-// An event lives in exactly one of two queue kinds: the single-heap
-// engine's queue (eng set, ordered by (at, seq)) or a shard's queue
-// (sh set, ordered by the shard-count-independent key (at, origin, oseq);
-// see shard.go). The fields for the unused kind stay zero.
+// Every queue orders its events by the key (at, origin, oseq): the virtual
+// time, the scheduling entity (node id + 1, or 0 for events keyed by the
+// engine's own counter), and that entity's private monotone sequence
+// number. Events with origin 0 take oseq from the engine counter, so a
+// queue that only ever sees origin 0 (the single-heap engine and the
+// sharded control heap) runs equal-time events in schedule order. Node
+// origins make the key independent of the shard layout and worker count,
+// which is what makes sharded execution reproducible across
+// NetworkConfig{Shards, Workers} settings (see shard.go).
 type event struct {
-	at  time.Duration
-	seq uint64 // single-heap tie-break: equal-time events run in schedule order
-	gen uint64 // bumped every time the event fires or is cancelled
-	pos int    // index in the heap, -1 when not queued
-	eng *engine
-	// origin/oseq are the sharded engine's deterministic tie-break: the
-	// scheduling entity (node id + 1, or 0 for control events) and its
-	// private monotone sequence number. The pair is independent of the
-	// shard layout and worker count, which is what makes sharded execution
-	// reproducible across NetworkConfig{Shards, Workers} settings.
+	at     time.Duration
 	origin uint64
 	oseq   uint64
-	sh     *shard // owning shard queue, nil for single-heap events
-	fn     func() // closure path (convenience API)
+	gen    uint64  // bumped every time the event fires or is cancelled
+	pos    int     // index in the heap, -1 when not queued
+	q      *engine // the queue holding the event, set by push
+	fn     func()  // closure path (convenience API)
 	h      EventFunc
 	arg    any
 }
@@ -72,9 +73,21 @@ type event struct {
 // engine is the concrete scheduler: virtual clock plus indexed event heap.
 type engine struct {
 	now  time.Duration
-	seq  uint64
+	seq  uint64 // counter for origin-0 event keys
 	heap []*event
+	// pool recycles the events this engine runs or cancels. It belongs to
+	// one engine, not the package, so events never migrate between
+	// networks: a stale Timer handle reads its event's generation, which a
+	// network running concurrently on another goroutine must not be
+	// reusing. Within a sharded network events do move between shard
+	// pools (an arrival is built on the sender's shard and freed on the
+	// receiver's); sync.Pool is safe under worker parallelism, and pooling
+	// affects only allocation, never ordering.
 	pool sync.Pool
+	// nw resolves node origins to their sequence counters when an event
+	// is keyed or re-keyed; nil on a bare engine, which only ever keys by
+	// its own counter.
+	nw *Network
 }
 
 // Timer is a handle on a scheduled event. The zero Timer is inert. Timers
@@ -83,6 +96,8 @@ type Timer struct {
 	e   *event
 	gen uint64
 }
+
+func timerOf(e *event) Timer { return Timer{e: e, gen: e.gen} }
 
 // Active reports whether the timer is still pending (not fired, not
 // cancelled, not rescheduled away by another handle).
@@ -105,38 +120,68 @@ func (en *engine) alloc() *event {
 	if e, ok := en.pool.Get().(*event); ok {
 		return e
 	}
-	return &event{eng: en}
+	return new(event)
 }
 
 // free recycles a dequeued event. The generation bump invalidates every
 // outstanding Timer handle pointing at it.
 func (en *engine) free(e *event) {
 	e.gen++
-	e.fn, e.h, e.arg = nil, nil, nil
+	e.fn, e.h, e.arg, e.q = nil, nil, nil, nil
 	en.pool.Put(e)
 }
 
-func (en *engine) schedule(at time.Duration, fn func(), h EventFunc, arg any) *event {
+// nextSeq draws the oseq half of a new key for origin: the engine's own
+// counter for origin 0, the node's counter for any other origin.
+func (en *engine) nextSeq(origin uint64) uint64 {
+	if origin == 0 {
+		en.seq++
+		return en.seq
+	}
+	return en.nw.nodes[origin-1].nextOseq()
+}
+
+// newEvent builds an unqueued event keyed (at, origin, next seq of
+// origin). The caller pushes it onto this or another engine's heap.
+func (en *engine) newEvent(at time.Duration, origin uint64, fn func(), h EventFunc, arg any) *event {
+	e := en.alloc()
+	e.at, e.origin, e.oseq = at, origin, en.nextSeq(origin)
+	e.fn, e.h, e.arg = fn, h, arg
+	return e
+}
+
+// schedule queues an event on this engine at absolute time at (clamped to
+// Now) under origin's next key.
+func (en *engine) schedule(at time.Duration, origin uint64, fn func(), h EventFunc, arg any) *event {
 	if at < en.now {
 		at = en.now
 	}
-	e := en.alloc()
-	en.seq++
-	e.at, e.seq, e.fn, e.h, e.arg = at, en.seq, fn, h, arg
+	e := en.newEvent(at, origin, fn, h, arg)
 	en.push(e)
 	return e
 }
 
+// control schedules an origin-0 event through the public Scheduler API.
+// On a sharded network that API is the control heap, which the window
+// coordinator owns: node code running inside a parallel window would race
+// it (or, at one worker, order its event by shard layout), so such a call
+// panics. Node code schedules through its Node instead.
+func (en *engine) control(at time.Duration, fn func(), h EventFunc, arg any) *event {
+	if en.nw != nil && en.nw.inWindow {
+		panic("simnet: Network.Schedule/After called from inside a sharded window; schedule node work through the Node (Node.After, Node.AfterCall, Node.AfterTimer)")
+	}
+	return en.schedule(at, 0, fn, h, arg)
+}
+
 // Schedule implements Scheduler (fire-and-forget closure form).
-func (en *engine) Schedule(at time.Duration, fn func()) { en.schedule(at, fn, nil, nil) }
+func (en *engine) Schedule(at time.Duration, fn func()) { en.control(at, fn, nil, nil) }
 
 // After implements Scheduler.
-func (en *engine) After(d time.Duration, fn func()) { en.schedule(en.now+d, fn, nil, nil) }
+func (en *engine) After(d time.Duration, fn func()) { en.control(en.now+d, fn, nil, nil) }
 
 // ScheduleCall implements Scheduler.
 func (en *engine) ScheduleCall(at time.Duration, h EventFunc, arg any) Timer {
-	e := en.schedule(at, nil, h, arg)
-	return Timer{e: e, gen: e.gen}
+	return timerOf(en.control(at, nil, h, arg))
 }
 
 // AfterCall implements Scheduler.
@@ -148,8 +193,7 @@ func (en *engine) AfterCall(d time.Duration, h EventFunc, arg any) Timer {
 // Protocol retry/timeout patterns use this to cancel the timeout when the
 // awaited reply arrives instead of leaving a dead event in the queue.
 func (en *engine) AfterTimer(d time.Duration, fn func()) Timer {
-	e := en.schedule(en.now+d, fn, nil, nil)
-	return Timer{e: e, gen: e.gen}
+	return timerOf(en.control(en.now+d, fn, nil, nil))
 }
 
 // Cancel removes the event from the queue so it never fires. It reports
@@ -159,43 +203,27 @@ func (t Timer) Cancel() bool {
 	if !t.Active() {
 		return false
 	}
-	if sh := t.e.sh; sh != nil {
-		sh.remove(t.e)
-		sh.free(t.e)
-		return true
-	}
-	en := t.e.eng
+	en := t.e.q
 	en.remove(t.e)
 	en.free(t.e)
 	return true
 }
 
 // Reschedule moves a still-pending timer to fire at absolute time at
-// (clamped to Now), as if it had been freshly scheduled there: among
-// equal-time events it runs after those already queued. It reports whether
-// the timer was pending; a fired or cancelled timer cannot be revived.
+// (clamped to Now), as if its owner had freshly scheduled it there: the
+// event is re-keyed with its origin's next sequence number, so among
+// equal-time events it runs after those its origin already queued. It
+// reports whether the timer was pending; a fired or cancelled timer cannot
+// be revived.
 func (t Timer) Reschedule(at time.Duration) bool {
 	if !t.Active() {
 		return false
 	}
-	if sh := t.e.sh; sh != nil {
-		// A shard timer's origin is always a node (deliveries never hand
-		// out Timer handles), so re-keying draws the node's next sequence
-		// number — exactly as if the owner had scheduled it afresh.
-		if at < sh.now {
-			at = sh.now
-		}
-		n := sh.nw.nodes[t.e.origin-1]
-		t.e.at, t.e.oseq = at, n.nextOseq()
-		sh.fix(t.e)
-		return true
-	}
-	en := t.e.eng
+	en := t.e.q
 	if at < en.now {
 		at = en.now
 	}
-	en.seq++
-	t.e.at, t.e.seq = at, en.seq
+	t.e.at, t.e.oseq = at, en.nextSeq(t.e.origin)
 	en.fix(t.e)
 	return true
 }
@@ -216,6 +244,14 @@ func (en *engine) step() bool {
 		fn()
 	}
 	return true
+}
+
+// runThrough runs, in key order, every queued event due at or before t,
+// including events that land by t while it runs.
+func (en *engine) runThrough(t time.Duration) {
+	for len(en.heap) > 0 && en.heap[0].at <= t {
+		en.step()
+	}
 }
 
 // peekTime returns the time of the earliest pending event.
@@ -239,7 +275,10 @@ func (en *engine) less(i, j int) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	if a.origin != b.origin {
+		return a.origin < b.origin
+	}
+	return a.oseq < b.oseq
 }
 
 func (en *engine) swap(i, j int) {
@@ -249,7 +288,7 @@ func (en *engine) swap(i, j int) {
 }
 
 func (en *engine) push(e *event) {
-	e.pos = len(en.heap)
+	e.q, e.pos = en, len(en.heap)
 	en.heap = append(en.heap, e)
 	en.up(e.pos)
 }

@@ -182,38 +182,82 @@ func TestTimerZeroValueInert(t *testing.T) {
 // schedule/cancel/reschedule/step operations, cross-checking every firing
 // against the reference list implementation.
 func TestSchedulerStressRandomOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
 	var en engine
+	stressScheduler(t, &en, 0)
+}
+
+// TestSchedulerStressKeyedOrigins is the same stress test with events from
+// several origins on one heap: origin 0 keyed by the engine counter, as
+// the single-heap engine and the control heap key them, and node origins
+// keyed by each node's own counter, as shards key them. Every firing must
+// follow a sort by (at, origin, oseq).
+func TestSchedulerStressKeyedOrigins(t *testing.T) {
+	nw := NewWithConfig(NetworkConfig{Seed: 1, Shards: 1, Workers: 1})
+	for i := 0; i < 4; i++ {
+		nw.AddNode()
+	}
+	stressScheduler(t, &nw.shards[0].engine, nw.NumNodes())
+}
+
+// stressScheduler runs the random-ops stress test on en, scheduling from
+// origins 0..nodes (node origins need en.nw to hold that many nodes).
+func stressScheduler(t *testing.T, en *engine, nodes int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(99))
+	type refKey struct {
+		at     time.Duration
+		origin uint64
+		oseq   uint64
+		id     int
+	}
 	type live struct {
 		tm Timer
 		id int
 	}
-	var pendingRef []refEvent // reference queue, kept sorted lazily
+	var pendingRef []refKey // reference queue, kept sorted lazily
 	var handles []live
 	var got, want []int
 	nextID := 0
 	fire := func(id int) func() { return func() { got = append(got, id) } }
 	popRef := func() {
-		sort.SliceStable(pendingRef, func(a, b int) bool {
-			if pendingRef[a].at != pendingRef[b].at {
-				return pendingRef[a].at < pendingRef[b].at
+		sort.Slice(pendingRef, func(a, b int) bool {
+			x, y := pendingRef[a], pendingRef[b]
+			if x.at != y.at {
+				return x.at < y.at
 			}
-			return pendingRef[a].seq < pendingRef[b].seq
+			if x.origin != y.origin {
+				return x.origin < y.origin
+			}
+			return x.oseq < y.oseq
 		})
 		want = append(want, pendingRef[0].id)
 		pendingRef = pendingRef[1:]
 	}
-	refSeq := 0
+	// refSeq mirrors the per-origin counters: the engine's for origin 0,
+	// each node's for the others.
+	refSeq := make([]uint64, nodes+1)
+	next := func(origin uint64) uint64 {
+		refSeq[origin]++
+		return refSeq[origin]
+	}
 	for op := 0; op < 5000; op++ {
 		switch r := rng.Intn(10); {
 		case r < 5: // schedule
 			d := time.Duration(rng.Intn(1000)) * time.Millisecond
+			origin := uint64(0)
+			if nodes > 0 {
+				origin = uint64(rng.Intn(nodes + 1))
+			}
 			id := nextID
 			nextID++
-			tm := en.AfterTimer(d, fire(id))
+			var tm Timer
+			if origin == 0 {
+				tm = en.AfterTimer(d, fire(id))
+			} else {
+				tm = timerOf(en.schedule(en.now+d, origin, fire(id), nil, nil))
+			}
 			handles = append(handles, live{tm: tm, id: id})
-			pendingRef = append(pendingRef, refEvent{at: en.now + d, seq: refSeq, id: id})
-			refSeq++
+			pendingRef = append(pendingRef, refKey{at: en.now + d, origin: origin, oseq: next(origin), id: id})
 		case r < 7: // cancel a random handle (may already be fired/cancelled)
 			if len(handles) == 0 {
 				continue
@@ -237,8 +281,7 @@ func TestSchedulerStressRandomOps(t *testing.T) {
 				for i := range pendingRef {
 					if pendingRef[i].id == h.id {
 						pendingRef[i].at = at
-						pendingRef[i].seq = refSeq
-						refSeq++
+						pendingRef[i].oseq = next(pendingRef[i].origin)
 						break
 					}
 				}

@@ -284,3 +284,47 @@ func TestShardedAccessors(t *testing.T) {
 		t.Fatal("sharded node should use its shard registry, not the root registry")
 	}
 }
+
+// TestShardedWindowControlSchedulingPanics: node code running inside a
+// sharded window must not schedule on the network's control heap, which
+// the window coordinator owns. One worker keeps the window on the test
+// goroutine, so the panic is recoverable here.
+func TestShardedWindowControlSchedulingPanics(t *testing.T) {
+	nw := NewWithConfig(NetworkConfig{Seed: 1, Shards: 4, Workers: 1})
+	a, b := nw.AddNode(), nw.AddNode()
+	b.Handle("poke", func(Message) { nw.After(time.Second, func() {}) })
+	a.Send(b.ID(), "poke", nil, 10)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "inside a sharded window") {
+			t.Fatalf("Network.After from a window handler: recovered %v, want the window panic", r)
+		}
+	}()
+	nw.RunAll()
+}
+
+// TestReentrantRunPanics: Run called from an event inside Run or RunAll
+// panics on both engines.
+func TestReentrantRunPanics(t *testing.T) {
+	for _, cfg := range []NetworkConfig{{Seed: 1}, {Seed: 1, Shards: 2, Workers: 1}} {
+		for _, all := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d/runAll=%v", cfg.Shards, all)
+			t.Run(name, func(t *testing.T) {
+				nw := NewWithConfig(cfg)
+				n := nw.AddNode()
+				var recovered any
+				n.After(time.Millisecond, func() {
+					defer func() { recovered = recover() }()
+					nw.Run(time.Hour)
+				})
+				if all {
+					nw.RunAll()
+				} else {
+					nw.Run(time.Second)
+				}
+				if recovered == nil || !strings.Contains(fmt.Sprint(recovered), "re-entrant Run") {
+					t.Fatalf("nested Run: recovered %v, want the re-entrant panic", recovered)
+				}
+			})
+		}
+	}
+}

@@ -5,26 +5,37 @@
 //
 // The package is split into an engine and a substrate:
 //
-//   - The engine (scheduler.go) is a pure discrete-event scheduler: an
-//     indexed-heap event queue with cancellable, reschedulable Timer
-//     handles and a pooled, closure-free hot path (events carry an
-//     EventFunc handler plus argument, recycled through a sync.Pool, so
-//     steady-state message traffic allocates nothing). Protocols program
-//     against the Scheduler interface.
+//   - The engine (scheduler.go) is a pure discrete-event scheduler: one
+//     indexed-heap event queue keyed (at, origin, oseq), with cancellable,
+//     reschedulable Timer handles and a pooled, closure-free hot path
+//     (events carry an EventFunc handler plus argument, recycled through a
+//     sync.Pool, so steady-state message traffic allocates nothing).
+//     Protocols program against the Scheduler interface.
 //   - The substrate (this file, node.go, rpc.go) models the network the
 //     paper argues about — §4 "quality vs quantity": per-link propagation
 //     latency with seeded jitter, per-node uplink/downlink bandwidth with
 //     serialization queueing, message loss, node crash/restart and
 //     exponential churn, and partitions.
 //
-// Determinism and randomness. A simulation runs on one goroutine; given the
-// same seed and workload it is reproducible bit for bit. Randomness is
-// split into per-node streams: node i draws from a SplitMix64 stream seeded
-// with mix64(mix64(seed) + (i+1)·golden64) (see splitmix.go for the exact
-// scheme and why the outer whitening step matters),
-// so one node's stochastic behaviour does not depend on how other nodes'
-// events interleave. The network-level stream (Network.Rand) serves
-// substrate draws — loss, jitter — and harness-level workload generation.
+// Both run on shards (shard.go): a shard is one event queue plus the
+// traffic counters, latency histograms and observability registry of the
+// events it runs. By default a network is one shard and runs on one
+// goroutine. NetworkConfig{Shards, Workers} opts into the sharded engine,
+// which spreads nodes over several shards run in parallel inside
+// conservative virtual-time windows. The two modes share the heap, the
+// event pool, Send and the delivery path; they differ only where shard.go
+// documents it.
+//
+// Determinism and randomness. Given the same seed and workload a
+// simulation is reproducible bit for bit, and a sharded one at every
+// (Shards, Workers) layout. Randomness is split into per-node streams:
+// node i draws from a SplitMix64 stream seeded with
+// mix64(mix64(seed) + (i+1)·golden64) (see splitmix.go for the exact
+// scheme and why the outer whitening step matters), so one node's
+// stochastic behaviour does not depend on how other nodes' events
+// interleave. The network-level stream (Network.Rand) serves harness-level
+// workload generation and, in single-heap mode, substrate draws (loss,
+// jitter); sharded nodes draw those from private substrate streams.
 //
 // Scale-out. Independent trials parallelize across cores with Trials
 // (trials.go): each trial owns its whole Network, so parallelism is
@@ -166,9 +177,11 @@ type Corrupted struct {
 }
 
 // Network is a simulated network of nodes sharing one virtual clock. It
-// embeds the event engine, so it satisfies Scheduler.
+// embeds its own shard, whose engine makes it a Scheduler: in single-heap
+// mode that shard runs every event and holds every counter; in sharded
+// mode its heap is the control heap (see shard.go).
 type Network struct {
-	engine
+	shard
 	seed    int64
 	rng     *rand.Rand
 	nodes   []*Node
@@ -187,25 +200,13 @@ type Network struct {
 	// observations create new registry entries, which would perturb the
 	// exported snapshots of historical experiments.
 	queueMetrics bool
-	trace        Trace
-	// latency holds per-message-kind delivery latency histograms, created
-	// lazily on first delivery of each kind. lastKind/lastLatency memoize
-	// the most recent lookup: large-population traffic arrives in long runs
-	// of one kind (every DHT RPC shares "simnet.rpc"), so the per-delivery
-	// map lookup collapses to a string compare on the hot path.
-	latency      map[string]*metrics.Histogram
-	lastKind     string
-	lastLatency  *metrics.Histogram
-	deliveryPool sync.Pool
 	running      bool
-	// obs is the network's observability registry: protocol subsystems
-	// annotate it live (via Node.Obs) and the substrate mirrors its Trace
-	// and latency quantiles into it at snapshot time.
-	obs *obs.Registry
 
-	// Sharded-mode state (see shard.go); all nil/zero in the default
-	// single-heap mode, which keeps that path byte-identical to history.
+	// shards are the shards that run node events: the network's own shard
+	// alone in single-heap mode, NumShards separate ones in sharded mode.
+	// Traffic totals and latency histograms are sums over them.
 	shards  []*shard
+	sharded bool
 	workers int
 	// minLat tracks the smallest profile Latency ever attached to a node;
 	// it bounds the conservative lookahead (2·minLat) in sharded mode.
@@ -255,61 +256,39 @@ func NewWithConfig(cfg NetworkConfig) *Network {
 		rng:       networkRand(cfg.Seed),
 		defProf:   DatacenterProfile(),
 		partition: map[NodeID]int{},
-		latency:   map[string]*metrics.Histogram{},
-		obs:       obs.NewRegistry(),
+		workers:   1,
 	}
 	// The label orders registries during cross-trial merges; the publish
 	// hook keeps the per-message hot path free of registry work by copying
 	// Trace totals and latency quantiles in only when a snapshot is taken.
-	nw.obs.SetLabel(fmt.Sprintf("seed:%d", cfg.Seed))
+	nw.shard.init(nw, 0, 0, fmt.Sprintf("seed:%d", cfg.Seed))
 	nw.obs.OnPublish(nw.publishObs)
-	obs.AttachCurrent(nw.obs)
+	nw.shards = []*shard{&nw.shard}
 	if cfg.Shards >= 1 {
 		w := cfg.Workers
 		if w <= 0 {
 			w = runtime.GOMAXPROCS(0)
 		}
-		if w > cfg.Shards {
-			w = cfg.Shards
-		}
-		nw.workers = w
+		nw.sharded, nw.workers = true, min(w, cfg.Shards)
 		nw.shards = make([]*shard, cfg.Shards)
 		for i := range nw.shards {
-			sh := &shard{
-				idx:     i,
-				nw:      nw,
-				outbox:  make([][]*event, cfg.Shards),
-				latency: map[string]*metrics.Histogram{},
-				obs:     obs.NewRegistry(),
-			}
 			// Shard labels sort after the root "seed:N" label, keeping
 			// merged exports stable regardless of shard count.
-			sh.obs.SetLabel(fmt.Sprintf("seed:%d/shard:%03d", cfg.Seed, i))
-			obs.AttachCurrent(sh.obs)
-			nw.shards[i] = sh
+			nw.shards[i] = new(shard)
+			nw.shards[i].init(nw, i, cfg.Shards, fmt.Sprintf("seed:%d/shard:%03d", cfg.Seed, i))
 		}
 	}
 	return nw
 }
 
 // Sharded reports whether the network runs on the sharded engine.
-func (nw *Network) Sharded() bool { return nw.shards != nil }
+func (nw *Network) Sharded() bool { return nw.sharded }
 
 // NumShards returns the shard count (1 in single-heap mode).
-func (nw *Network) NumShards() int {
-	if nw.shards == nil {
-		return 1
-	}
-	return len(nw.shards)
-}
+func (nw *Network) NumShards() int { return len(nw.shards) }
 
 // Workers returns the sharded engine's worker count (1 in single-heap mode).
-func (nw *Network) Workers() int {
-	if nw.shards == nil {
-		return 1
-	}
-	return nw.workers
-}
+func (nw *Network) Workers() int { return nw.workers }
 
 // Obs returns the network's observability registry. Protocol layers
 // resolve their named metrics once at construction (see Node.Obs) and
@@ -319,7 +298,7 @@ func (nw *Network) Obs() *obs.Registry { return nw.obs }
 // publishObs mirrors the substrate's accumulated state into the registry.
 // Runs on every Registry.Snapshot, so Set (not Add) keeps it idempotent.
 func (nw *Network) publishObs(r *obs.Registry) {
-	t := nw.Trace() // materializes the shard merge in sharded mode
+	t := nw.Trace() // re-sums the shards
 	r.Counter("net.msg.sent").Set(t.Sent)
 	r.Counter("net.msg.delivered").Set(t.Delivered)
 	r.Counter("net.msg.dropped").Set(t.Dropped)
@@ -347,19 +326,16 @@ func (nw *Network) publishObs(r *obs.Registry) {
 	}
 }
 
-// latencySnapshot returns the per-kind latency histograms, merging the
-// per-shard sets (bucket-by-bucket sums, so shard layout cannot leak into
-// the result) in sharded mode.
+// latencySnapshot returns the per-kind latency histograms, merged across
+// shards bucket by bucket (sums, so shard layout cannot leak into the
+// result) into fresh histograms.
 func (nw *Network) latencySnapshot() map[string]*metrics.Histogram {
-	if nw.shards == nil {
-		return nw.latency
-	}
 	out := map[string]*metrics.Histogram{}
 	for _, sh := range nw.shards {
 		for kind, h := range sh.latency { //determinism:ok merge is commutative per kind
 			dst, ok := out[kind]
 			if !ok {
-				dst = metrics.NewHistogram(0, 30, 3000)
+				dst = newLatencyHistogram()
 				out[kind] = dst
 			}
 			dst.Merge(h)
@@ -381,61 +357,32 @@ func (nw *Network) Rand() *rand.Rand { return nw.rng }
 // Seed returns the seed this network was created with.
 func (nw *Network) Seed() int64 { return nw.seed }
 
-// Trace returns the accumulated network-wide traffic counters. In sharded
-// mode the per-shard counters are re-summed on every call (field sums are
-// commutative, so the result is independent of shard layout); the returned
-// pointer stays valid and is refreshed by subsequent calls.
+// Trace returns the accumulated network-wide traffic counters, re-summed
+// from the shards on every call (field sums are commutative, so the result
+// is independent of shard layout); the returned pointer stays valid and is
+// refreshed by subsequent calls.
 func (nw *Network) Trace() *Trace {
-	if nw.shards != nil {
-		var t Trace
-		for _, sh := range nw.shards {
-			t.add(&sh.trace)
-		}
-		nw.trace = t
+	var t Trace
+	for _, sh := range nw.shards {
+		t.add(&sh.trace)
 	}
+	nw.trace = t
 	return &nw.trace
 }
 
-// LatencyHistogram returns the delivery-latency histogram (in seconds) for
-// a message kind, or nil if nothing of that kind has been delivered.
-// Buckets are 10 ms wide over [0, 30s). In sharded mode the per-shard
-// histograms are merged into a fresh histogram on every call.
+// LatencyHistogram returns a snapshot of the delivery-latency histogram
+// (in seconds) for a message kind, or nil if nothing of that kind has been
+// delivered. Buckets are 10 ms wide over [0, 30s).
 func (nw *Network) LatencyHistogram(kind string) *metrics.Histogram {
-	if nw.shards != nil {
-		var merged *metrics.Histogram
-		for _, sh := range nw.shards {
-			if h := sh.latency[kind]; h != nil {
-				if merged == nil {
-					merged = metrics.NewHistogram(0, 30, 3000)
-				}
-				merged.Merge(h)
-			}
-		}
-		return merged
-	}
-	return nw.latency[kind]
+	return nw.latencySnapshot()[kind]
 }
 
-// LatencyKinds returns the message kinds with recorded delivery latencies.
-// In sharded mode the union across shards is returned sorted, so the
-// result cannot depend on shard layout.
+// LatencyKinds returns the message kinds with recorded delivery latencies,
+// sorted, so the result cannot depend on shard layout.
 func (nw *Network) LatencyKinds() []string {
-	if nw.shards != nil {
-		seen := map[string]bool{}
-		kinds := []string{}
-		for _, sh := range nw.shards {
-			for k := range sh.latency { //determinism:ok union is sorted below
-				if !seen[k] {
-					seen[k] = true
-					kinds = append(kinds, k)
-				}
-			}
-		}
-		sort.Strings(kinds)
-		return kinds
-	}
-	kinds := make([]string, 0, len(nw.latency))
-	for k := range nw.latency { //determinism:ok result is sorted below
+	snap := nw.latencySnapshot()
+	kinds := make([]string, 0, len(snap))
+	for k := range snap { //determinism:ok result is sorted below
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
@@ -459,10 +406,11 @@ func (nw *Network) AddNodeWithProfile(p LinkProfile) *Node {
 		rng:      nodeRand(nw.seed, id),
 		up:       true,
 		handlers: map[string]Handler{},
+		sh:       nw.shards[int(id)%len(nw.shards)],
+		srng:     nw.rng,
 	}
 	nw.noteLatency(p.Latency)
-	if nw.shards != nil {
-		n.sh = nw.shards[int(id)%len(nw.shards)]
+	if nw.sharded {
 		n.origin = uint64(id) + 1
 		n.srng = substrateRand(nw.seed, id)
 	}
@@ -495,47 +443,42 @@ func (nw *Network) NumNodes() int { return len(nw.nodes) }
 func (nw *Network) Nodes() []*Node { return nw.nodes }
 
 // Run executes events until the queue empties or virtual time reaches
-// until. It returns the virtual time at which it stopped.
-func (nw *Network) Run(until time.Duration) time.Duration {
-	if nw.shards != nil {
-		return nw.runSharded(until, false)
-	}
+// until. It returns the virtual time at which it stopped. Calling Run or
+// RunAll from inside an event panics.
+func (nw *Network) Run(until time.Duration) time.Duration { return nw.run(until, false) }
+
+// RunAll executes every queued event regardless of time. Useful for tests;
+// on the single-heap engine it panics if the queue keeps growing beyond a
+// large safety bound (the sharded huge tiers rely on RunAll without one).
+func (nw *Network) RunAll() { nw.run(runAllHorizon, true) }
+
+// runAllHorizon is the "no time bound" sentinel for RunAll: ~73 years of
+// virtual nanoseconds, far beyond any workload.
+const runAllHorizon = time.Duration(1) << 61
+
+func (nw *Network) run(until time.Duration, runAll bool) time.Duration {
 	if nw.running {
 		panic("simnet: re-entrant Run")
 	}
 	nw.running = true
 	defer func() { nw.running = false }()
-	for {
-		at, ok := nw.peekTime()
-		if !ok {
-			break
-		}
-		if at > until {
-			nw.now = until
-			return nw.now
-		}
-		nw.step()
+	if nw.sharded {
+		return nw.runSharded(until, runAll)
 	}
-	if nw.now < until {
+	if runAll {
+		const maxEvents = 50_000_000
+		for count := 1; nw.step(); count++ {
+			if count > maxEvents {
+				panic("simnet: RunAll exceeded event safety bound; runaway schedule?")
+			}
+		}
+		return nw.now
+	}
+	nw.runThrough(until)
+	if len(nw.heap) > 0 || nw.now < until {
 		nw.now = until
 	}
 	return nw.now
-}
-
-// RunAll executes every queued event regardless of time. Useful for tests;
-// panics if the queue keeps growing beyond a large safety bound.
-func (nw *Network) RunAll() {
-	if nw.shards != nil {
-		nw.runSharded(runAllHorizon, true)
-		return
-	}
-	const maxEvents = 50_000_000
-	count := 0
-	for nw.step() {
-		if count++; count > maxEvents {
-			panic("simnet: RunAll exceeded event safety bound; runaway schedule?")
-		}
-	}
 }
 
 // Partition splits the network into groups; messages only flow within a
@@ -616,64 +559,92 @@ func (nw *Network) samePartition(a, b NodeID) bool {
 }
 
 // delivery carries an in-flight message through the pooled, closure-free
-// event path.
+// event path: built on the sender's shard, consumed on the receiver's.
 type delivery struct {
 	nw     *Network
 	msg    Message
 	sentAt time.Duration
 }
 
-// deliverEvent is the EventFunc for message arrival; arg is a pooled
-// *delivery.
+var deliveryPool = sync.Pool{New: func() any { return new(delivery) }}
+
+// deliverEvent is the EventFunc for message delivery; arg is a pooled
+// *delivery. It runs on the receiver's shard.
 func deliverEvent(arg any) {
 	d := arg.(*delivery)
-	nw, msg := d.nw, d.msg
-	sentAt := d.sentAt
+	nw, msg, sentAt := d.nw, d.msg, d.sentAt
 	*d = delivery{}
-	nw.deliveryPool.Put(d)
+	deliveryPool.Put(d)
 
 	dst := nw.nodes[msg.To]
+	sh := dst.sh
 	// Re-check state at delivery time: the receiver may have crashed, or a
-	// partition may have appeared, while the message was in flight.
+	// partition may have appeared, while the message was in flight. In
+	// sharded mode this is also where messages to already-down
+	// destinations drop (see Send).
 	if !dst.up || !nw.samePartition(msg.From, msg.To) {
-		nw.trace.Dropped++
+		sh.trace.Dropped++
 		dst.trace.Dropped++
 		return
 	}
 	if _, garbled := msg.Payload.(Corrupted); garbled {
-		nw.trace.Corrupted++
+		sh.trace.Corrupted++
 		dst.trace.Corrupted++
 	}
-	nw.trace.Delivered++
-	nw.trace.BytesDelivered += int64(msg.Size)
+	sh.trace.Delivered++
+	sh.trace.BytesDelivered += int64(msg.Size)
 	dst.trace.Delivered++
 	dst.trace.BytesDelivered += int64(msg.Size)
-	nw.observeLatency(msg.Kind, nw.now-sentAt)
+	sh.observeLatency(msg.Kind, sh.now-sentAt)
 	if h, ok := dst.handlers[msg.Kind]; ok {
 		h(msg)
 	} else if dst.defaultHandler != nil {
 		dst.defaultHandler(msg)
 	} else {
-		nw.trace.Unhandled++
+		sh.trace.Unhandled++
 		dst.trace.Unhandled++
 	}
 }
 
-func (nw *Network) observeLatency(kind string, lat time.Duration) {
-	if kind == nw.lastKind && nw.lastLatency != nil {
-		nw.lastLatency.Observe(lat.Seconds())
+// shardArriveEvent runs on the destination shard when a sharded message
+// reaches the receiving host's link. Downlink serialization happens here,
+// in arrival order on the destination's own clock; if the downlink delays
+// the message, the final delivery is rescheduled under the receiver's key.
+func shardArriveEvent(arg any) {
+	d := arg.(*delivery)
+	dst := d.nw.nodes[d.msg.To]
+	if now := dst.sh.now; dst.profile.DownlinkBps > 0 {
+		if at := dst.downlink(now, d.msg.Size); at > now {
+			dst.sh.schedule(at, dst.origin, nil, deliverEvent, d)
+			return
+		}
+	}
+	deliverEvent(d)
+}
+
+// observeLatency records a delivery latency into this shard's histogram
+// set. lastKind/lastLatency memoize the lookup: large-population traffic
+// arrives in long runs of one kind (every DHT RPC shares "simnet.rpc"), so
+// the per-delivery map lookup collapses to a string compare.
+func (sh *shard) observeLatency(kind string, lat time.Duration) {
+	if kind == sh.lastKind && sh.lastLatency != nil {
+		sh.lastLatency.Observe(lat.Seconds())
 		return
 	}
-	h, ok := nw.latency[kind]
+	h, ok := sh.latency[kind]
 	if !ok {
-		// 10 ms buckets over [0, 30s): fine enough for RTT-scale traffic,
-		// wide enough that bandwidth-bound transfers rarely overflow.
-		h = metrics.NewHistogram(0, 30, 3000)
-		nw.latency[kind] = h
+		h = newLatencyHistogram()
+		sh.latency[kind] = h
 	}
-	nw.lastKind, nw.lastLatency = kind, h
+	sh.lastKind, sh.lastLatency = kind, h
 	h.Observe(lat.Seconds())
 }
+
+// newLatencyHistogram returns an empty delivery-latency histogram: 10 ms
+// buckets over [0, 30s), fine enough for RTT-scale traffic, wide enough
+// that bandwidth-bound transfers rarely overflow. Every shard uses the
+// same bounds, so shard merges are bucket-aligned.
+func newLatencyHistogram() *metrics.Histogram { return metrics.NewHistogram(0, 30, 3000) }
 
 // Send transmits a message. Delivery is scheduled according to both
 // endpoints' link profiles; the message is silently dropped (and counted in
@@ -683,21 +654,30 @@ func (nw *Network) observeLatency(kind string, lat time.Duration) {
 // Accounting: Sent/BytesSent and send-time drops are charged to the
 // sending node's Trace; Delivered/BytesDelivered/Unhandled and in-flight
 // drops to the receiving node's. The network-wide Trace sees everything.
+//
+// The sender-side half (uplink serialization, loss, jitter, fault draws)
+// runs here on the sender's shard, drawing from the sender's substrate
+// stream (the network stream in single-heap mode); delivery runs on the
+// receiver's shard. The engines differ in two places only (see shard.go):
+// where a message to a crashed destination drops, and where downlink
+// serialization happens.
 func (nw *Network) Send(msg Message) bool {
-	if nw.shards != nil {
-		return nw.sendSharded(msg)
-	}
 	src := nw.Node(msg.From)
 	dst := nw.Node(msg.To)
 	if src == nil || dst == nil {
 		panic(fmt.Sprintf("simnet: send between unknown nodes %d -> %d", msg.From, msg.To))
 	}
-	nw.trace.Sent++
-	nw.trace.BytesSent += int64(msg.Size)
+	sh, rng := src.sh, src.srng
+	sh.trace.Sent++
+	sh.trace.BytesSent += int64(msg.Size)
 	src.trace.Sent++
 	src.trace.BytesSent += int64(msg.Size)
-	if !src.up || !dst.up || !nw.samePartition(msg.From, msg.To) {
-		nw.trace.Dropped++
+	// The partition map only changes at barriers, so reading it from a
+	// parallel window is stable. A sharded sender cannot read the
+	// destination's liveness without racing the destination shard, so
+	// there a message to a down node drops at delivery time instead.
+	if !src.up || (!nw.sharded && !dst.up) || !nw.samePartition(msg.From, msg.To) {
+		sh.trace.Dropped++
 		src.trace.Dropped++
 		return false
 	}
@@ -707,8 +687,8 @@ func (nw *Network) Send(msg Message) bool {
 	// charged: a lost message never occupies the sender's uplink, so it
 	// cannot delay later traffic.
 	if pa, pb := src.profile.Loss, dst.profile.Loss; pa > 0 || pb > 0 {
-		if p := 1 - (1-pa)*(1-pb); nw.rng.Float64() < p {
-			nw.trace.Dropped++
+		if p := 1 - (1-pa)*(1-pb); rng.Float64() < p {
+			sh.trace.Dropped++
 			src.trace.Dropped++
 			return false
 		}
@@ -716,13 +696,15 @@ func (nw *Network) Send(msg Message) bool {
 
 	// Serialization on the sender's uplink: the message waits for the
 	// uplink to free, then occupies it for size/rate. Lane-aware on nodes
-	// that enabled the priority uplink; plain FIFO otherwise.
-	depart := nw.now
+	// that enabled the priority uplink; plain FIFO otherwise. The cursors
+	// and the queue-metric state are sender-owned.
+	now := sh.now
+	depart := now
 	if src.profile.UplinkBps > 0 {
 		ser := secondsToDuration(float64(msg.Size*8) / src.profile.UplinkBps)
-		depart = src.serialize(msg.Lane, nw.now, ser)
+		depart = src.serialize(msg.Lane, now, ser)
 		if nw.queueMetrics {
-			src.noteQueue(nw.now, depart)
+			src.noteQueue(now, depart)
 		}
 	}
 	// Propagation + jitter. An installed region matrix (opt-in; see
@@ -732,49 +714,49 @@ func (nw *Network) Send(msg Message) bool {
 		delay += nw.regionExtra[nw.regionOf[msg.From]][nw.regionOf[msg.To]]
 	}
 	if j := src.profile.Jitter + dst.profile.Jitter; j > 0 {
-		delay += time.Duration(nw.rng.Int63n(int64(j)))
+		delay += time.Duration(rng.Int63n(int64(j)))
 	}
 	arrive := depart + delay
-	// Serialization on the receiver's downlink.
-	if dst.profile.DownlinkBps > 0 {
-		if dst.downlinkFree > arrive {
-			arrive = dst.downlinkFree
+	// Serialization on the receiver's downlink: here, in global send
+	// order, on the single-heap engine; on the destination shard, in
+	// arrival order, on the sharded engine (shardArriveEvent).
+	arrived := EventFunc(shardArriveEvent)
+	if !nw.sharded {
+		arrived = deliverEvent
+		if dst.profile.DownlinkBps > 0 {
+			arrive = dst.downlink(arrive, msg.Size)
 		}
-		ser := secondsToDuration(float64(msg.Size*8) / dst.profile.DownlinkBps)
-		arrive += ser
-		dst.downlinkFree = arrive
 	}
 
 	// In-flight fault injection. All draws are guarded by their probability,
 	// so a zero LinkFault consumes no randomness and perturbs nothing.
 	if f := nw.fault; f.active() {
-		if f.Corrupt > 0 && nw.rng.Float64() < f.Corrupt {
+		if f.Corrupt > 0 && rng.Float64() < f.Corrupt {
 			msg.Payload = Corrupted{Original: msg.Payload}
 		}
-		if f.Reorder > 0 && nw.rng.Float64() < f.Reorder {
-			arrive += time.Duration(nw.rng.Int63n(int64(f.holdBack())))
-			nw.trace.Reordered++
+		if f.Reorder > 0 && rng.Float64() < f.Reorder {
+			arrive += time.Duration(rng.Int63n(int64(f.holdBack())))
+			sh.trace.Reordered++
 		}
-		if f.Duplicate > 0 && nw.rng.Float64() < f.Duplicate {
+		if f.Duplicate > 0 && rng.Float64() < f.Duplicate {
 			// The duplicate is a fault artifact, not a retransmission: it
 			// skips link accounting and lands an extra hold-back later.
-			nw.trace.Duplicated++
-			dup, ok := nw.deliveryPool.Get().(*delivery)
-			if !ok {
-				dup = new(delivery)
-			}
-			dup.nw, dup.msg, dup.sentAt = nw, msg, nw.now
-			nw.ScheduleCall(arrive+time.Duration(nw.rng.Int63n(int64(f.holdBack()))), deliverEvent, dup)
+			sh.trace.Duplicated++
+			extra := time.Duration(rng.Int63n(int64(f.holdBack())))
+			nw.scheduleArrival(src, dst, msg, arrive+extra, arrived)
 		}
 	}
-
-	d, ok := nw.deliveryPool.Get().(*delivery)
-	if !ok {
-		d = new(delivery)
-	}
-	d.nw, d.msg, d.sentAt = nw, msg, nw.now
-	nw.ScheduleCall(arrive, deliverEvent, d)
+	nw.scheduleArrival(src, dst, msg, arrive, arrived)
 	return true
+}
+
+// scheduleArrival builds the pooled delivery event for msg, keyed by the
+// sender so equal-time arrivals at the destination order
+// deterministically, and routes it to the destination's shard.
+func (nw *Network) scheduleArrival(src, dst *Node, msg Message, at time.Duration, arrived EventFunc) {
+	d := deliveryPool.Get().(*delivery)
+	d.nw, d.msg, d.sentAt = nw, msg, src.sh.now
+	src.sh.enqueue(dst.sh, src.sh.newEvent(at, src.origin, nil, arrived, d))
 }
 
 func secondsToDuration(s float64) time.Duration {

@@ -414,35 +414,56 @@ func TestRPCAsyncDoubleReplyPanics(t *testing.T) {
 	nw.RunAll()
 }
 
-// TestRPCDispatchPrecedence pins the handler order onMessage applies when
-// one method has several registrations: async, then deferred, then sync.
+// TestRPCDispatchPrecedence pins the rule onMessage applies when one
+// method has several registrations: the last registration wins, whatever
+// its style. The first seven cases register sync, then deferred, then
+// async; the reversed cases register async, then deferred, then sync.
 func TestRPCDispatchPrecedence(t *testing.T) {
 	cases := []struct {
 		name                  string
 		async, deferred, sync bool
+		reversed              bool
 		want                  string
 	}{
-		{"sync", false, false, true, "sync"},
-		{"deferred", false, true, false, "deferred"},
-		{"async", true, false, false, "async"},
-		{"deferred>sync", false, true, true, "deferred"},
-		{"async>sync", true, false, true, "async"},
-		{"async>deferred", true, true, false, "async"},
-		{"async>deferred>sync", true, true, true, "async"},
+		{"sync", false, false, true, false, "sync"},
+		{"deferred", false, true, false, false, "deferred"},
+		{"async", true, false, false, false, "async"},
+		{"deferred>sync", false, true, true, false, "deferred"},
+		{"async>sync", true, false, true, false, "async"},
+		{"async>deferred", true, true, false, false, "async"},
+		{"async>deferred>sync", true, true, true, false, "async"},
+		{"reversed/sync>deferred", false, true, true, true, "sync"},
+		{"reversed/sync>async", true, false, true, true, "sync"},
+		{"reversed/deferred>async", true, true, false, true, "deferred"},
+		{"reversed/sync>deferred>async", true, true, true, true, "sync"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := New(23)
 			client := NewRPCNode(nw.AddNode())
 			server := NewRPCNode(nw.AddNode())
-			if tc.sync {
-				server.Serve("m", func(NodeID, any) (any, int) { return "sync", 8 })
+			register := []func(){
+				func() {
+					if tc.sync {
+						server.Serve("m", func(NodeID, any) (any, int) { return "sync", 8 })
+					}
+				},
+				func() {
+					if tc.deferred {
+						server.ServeDeferred("m", func(_ NodeID, _ any, tok ReplyToken) { tok.Reply("deferred", 8) })
+					}
+				},
+				func() {
+					if tc.async {
+						server.ServeAsync("m", func(_ NodeID, _ any, reply func(any, int)) { reply("async", 8) })
+					}
+				},
 			}
-			if tc.deferred {
-				server.ServeDeferred("m", func(_ NodeID, _ any, tok ReplyToken) { tok.Reply("deferred", 8) })
+			if tc.reversed {
+				register[0], register[2] = register[2], register[0]
 			}
-			if tc.async {
-				server.ServeAsync("m", func(_ NodeID, _ any, reply func(any, int)) { reply("async", 8) })
+			for _, r := range register {
+				r()
 			}
 			var got any
 			client.Call(server.Node().ID(), "m", nil, 8, time.Minute, func(resp any, err error) {
